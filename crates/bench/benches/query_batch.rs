@@ -16,7 +16,9 @@
 //!   in one small neighborhood, so `prefix_len` is governed by the
 //!   cluster's distance from the source rather than by any single edge.
 //!
-//! `per_query` is the `indexed_reuse` engine of `BENCH_2.json`;
+//! `per_query` is the per-query heap engine (`dijkstra_into` on the
+//! scheme's cost tables, the `indexed_reuse` engine of `BENCH_2.json`,
+//! not `ExactScheme::spt_into`, which runs the heap-free layered kernel);
 //! `batched` is the batch engine with checkpointed resume (the default
 //! `CheckpointMode::Auto`), `batched_nockpt` pins `CheckpointMode::Never`
 //! so the checkpoint win is its own diffable number. After the timed rows
@@ -37,8 +39,8 @@ use std::ops::ControlFlow;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rsp_core::RandomGridAtw;
 use rsp_graph::{
-    bfs_batch, bfs_batch_par, bfs_into, dijkstra_batch, dijkstra_batch_par, generators,
-    BatchScratch, CheckpointMode, FaultSet, Graph, SearchScratch, Vertex,
+    bfs_batch, bfs_batch_par, bfs_into, dijkstra_batch, dijkstra_batch_par, dijkstra_into,
+    generators, BatchScratch, CheckpointMode, FaultSet, Graph, SearchScratch, Vertex,
 };
 
 /// `∅` plus `queries` single faults spread across the edge set: most are
@@ -101,7 +103,7 @@ fn bench_weighted_family(
             let mut reached = 0usize;
             for &s in sources {
                 for f in faults {
-                    scheme.spt_into(s, f, &mut single);
+                    dijkstra_into(g, s, f, scheme.directed_costs(), &mut single);
                     reached += single.reachable_count();
                 }
             }

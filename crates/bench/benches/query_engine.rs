@@ -32,11 +32,20 @@
 //! * a `u64_gnm20k_80k` group measures both engines on a graph whose
 //!   cost array outgrows cache, where the policy gap is widest (the
 //!   indexed heap's sift comparisons become random out-of-cache loads).
+//!
+//! Since `ExactScheme::spt_into` runs the heap-free layered kernel
+//! (`rsp_graph::layered_into`, Lemma 34), the scheme groups call
+//! `dijkstra_into` on the scheme's own cost tables for their heap rows
+//! and add a `scheme_spt` row for `spt_into`, so the kernel-vs-heap ratio
+//! is read within one run on identical costs. The scaling groups do the
+//! same on a Theorem 20 scheme over each family graph: `scheme_spt`
+//! beside `scheme_dijkstra` (the inline-key heap on those `u128` costs),
+//! next to the historical `u64` rows.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use rsp_arith::PathCost;
 use rsp_core::{ExactScheme, GeometricAtw, RandomGridAtw, Rpts};
 use rsp_graph::{
@@ -126,7 +135,7 @@ fn bench_scheme_engines<C: PathCost + 'static>(
         b.iter(|| {
             let mut reached = 0usize;
             for f in &faults {
-                scheme.spt_into(0, f, &mut scratch);
+                dijkstra_into(&g, 0, f, scheme.directed_costs(), &mut scratch);
                 reached += scratch.reachable_count();
             }
             reached
@@ -139,14 +148,35 @@ fn bench_scheme_engines<C: PathCost + 'static>(
             b.iter(|| {
                 let mut reached = 0usize;
                 for f in &faults {
-                    scheme.spt_into(0, f, &mut inline);
+                    dijkstra_into(&g, 0, f, scheme.directed_costs(), &mut inline);
                     reached += inline.reachable_count();
                 }
                 reached
             })
         });
     }
+    bench_scheme_spt(&mut group, scheme, &faults);
     group.finish();
+}
+
+/// The `scheme_spt` row: `ExactScheme::spt_into`, the layered kernel,
+/// with one scratch reused across the batch.
+fn bench_scheme_spt<C: PathCost + 'static>(
+    group: &mut BenchmarkGroup<'_>,
+    scheme: &ExactScheme<C>,
+    faults: &[FaultSet],
+) {
+    let mut scratch = SearchScratch::<C>::with_capacity(scheme.graph().n());
+    group.bench_function("scheme_spt", |b| {
+        b.iter(|| {
+            let mut reached = 0usize;
+            for f in faults {
+                scheme.spt_into(0, f, &mut scratch);
+                reached += scratch.reachable_count();
+            }
+            reached
+        })
+    });
 }
 
 /// u64 costs on a grid: closure-supplied weights, no scheme overhead.
@@ -277,6 +307,9 @@ fn scaling_n() -> usize {
 /// scratch BFS plus both heap engines, two single-fault queries per
 /// iteration from source 0. Each family prints an `n`/`m`/CSR-footprint
 /// provenance line so recorded JSON rows can cite the memory story.
+/// A Theorem 20 scheme over the same graph adds the `scheme_spt`
+/// (layered kernel) and `scheme_dijkstra` (inline-key heap) rows on
+/// identical `u128` costs.
 fn bench_scaling(c: &mut Criterion) {
     let n = scaling_n();
     let cost = |e: EdgeId, from: Vertex, to: Vertex| {
@@ -332,6 +365,19 @@ fn bench_scaling(c: &mut Criterion) {
                 reached
             })
         });
+        let scheme = RandomGridAtw::theorem20(&g, 42).into_scheme();
+        let mut heap = SearchScratch::<u128>::with_capacity(g.n());
+        group.bench_function("scheme_dijkstra", |b| {
+            b.iter(|| {
+                let mut reached = 0usize;
+                for f in &faults {
+                    dijkstra_into(&g, 0, f, scheme.directed_costs(), &mut heap);
+                    reached += heap.reachable_count();
+                }
+                reached
+            })
+        });
+        bench_scheme_spt(&mut group, &scheme, &faults);
         group.finish();
     }
 }

@@ -209,9 +209,19 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     /// `bits_per_weight` the storage the perturbations need (reported by
     /// experiment E10).
     ///
+    /// The costs must be *hop-dominant*: `n·min > (n−1)·max` over every
+    /// directed cost, checked once here with [`PathCost`] arithmetic. It
+    /// makes every path with fewer hops strictly cheaper than every path
+    /// with more, so the scheme's minimum-cost paths are shortest paths of
+    /// `G \ F` (the Lemma 34 layering [`ExactScheme::spt_into`] relies
+    /// on). Every tiebreaking weight function satisfies it: perturbations
+    /// summed along a simple path stay below one unit.
+    ///
     /// # Panics
     ///
-    /// Panics if the cost vectors are not of length `g.m()`.
+    /// Panics if the cost vectors are not of length `g.m()`, if the costs
+    /// are not hop-dominant, or if `n·min` or `(n−1)·max` overflows the
+    /// cost type.
     pub fn from_costs(
         graph: Graph,
         fwd: Vec<C>,
@@ -221,6 +231,11 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     ) -> Self {
         assert_eq!(fwd.len(), graph.m(), "one forward cost per edge");
         assert_eq!(bwd.len(), graph.m(), "one backward cost per edge");
+        assert!(
+            is_hop_dominant(graph.n(), &fwd, &bwd),
+            "costs are not hop-dominant (n·min > (n−1)·max fails): \
+             a cheaper path could take more hops than a shortest one"
+        );
         ExactScheme { graph, fwd, bwd, unit, bits_per_weight }
     }
 
@@ -276,10 +291,14 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     /// The clone-free hot path: stored per-direction costs are borrowed
     /// straight into the relaxation (no [`ExactScheme::edge_cost`] clone),
     /// and results — costs, hops, parents, paths, tree edges — are read
-    /// directly from the scratch without materializing a tree. The search
-    /// runs on the heap engine the cost type's
-    /// [`rsp_arith::PathCost::HEAP`] policy selects (indexed decrease-key
-    /// for `BigInt`, inline-key for the integer schemes).
+    /// directly from the scratch without materializing a tree.
+    ///
+    /// The search is [`rsp_graph::layered_into`], a heap-free BFS that
+    /// carries exact costs: the hop dominance [`ExactScheme::from_costs`]
+    /// checks makes the tree layered exactly like a BFS tree (Lemma 34).
+    /// Costs, hops and parents are those [`rsp_graph::dijkstra_into`]
+    /// computes on the same costs, ties included; the tie flag reports
+    /// genuine ties (two minimum-cost routes into one vertex).
     ///
     /// # Examples
     ///
@@ -297,7 +316,7 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     /// }
     /// ```
     pub fn spt_into(&self, s: Vertex, faults: &FaultSet, scratch: &mut SearchScratch<C>) {
-        rsp_graph::dijkstra_into(&self.graph, s, faults, self.directed_costs(), scratch);
+        rsp_graph::layered_into(&self.graph, s, faults, self.directed_costs(), scratch);
     }
 
     /// The scheme's stored per-direction costs as a borrowing
@@ -350,6 +369,35 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     pub fn reverse_path(&self, s: Vertex, t: Vertex, faults: &FaultSet) -> Option<Path> {
         self.path(t, s, faults).map(|p| p.reversed())
     }
+}
+
+/// `true` iff `n·min > (n−1)·max` over every directed cost in `fwd` and
+/// `bwd` (vacuously for an edgeless graph).
+fn is_hop_dominant<C: PathCost>(n: usize, fwd: &[C], bwd: &[C]) -> bool {
+    let mut costs = fwd.iter().chain(bwd);
+    let Some(first) = costs.next() else { return true };
+    let (mut min, mut max) = (first, first);
+    for c in costs {
+        min = min.min(c);
+        max = max.max(c);
+    }
+    times(min, n) > times(max, n - 1)
+}
+
+/// `k·c` by double-and-add over [`PathCost::plus`].
+fn times<C: PathCost>(c: &C, mut k: usize) -> C {
+    let mut sum = C::zero();
+    let mut power = c.clone();
+    while k > 0 {
+        if k & 1 == 1 {
+            sum = sum.plus(&power);
+        }
+        k >>= 1;
+        if k > 0 {
+            power = power.plus(&power);
+        }
+    }
+    sum
 }
 
 impl<C: PathCost + 'static> Rpts for ExactScheme<C> {
@@ -467,6 +515,57 @@ mod tests {
         let g = generators::cycle(3);
         let s = ExactScheme::from_costs(g, vec![10u64, 10, 10], vec![10u64, 10, 11], 10u64, 1);
         assert!(!s.is_antisymmetric());
+    }
+
+    #[test]
+    #[should_panic(expected = "not hop-dominant")]
+    fn costs_with_a_cheaper_longer_path_are_rejected() {
+        // Triangle 0-1-2 whose two-hop route 0 → 1 → 2 (20) undercuts the
+        // direct edge 0 → 2 (25): the minimum-cost path is not a shortest
+        // one, so hops read off an SPT would not be distances.
+        let g = Graph::from_edges(3, [(0, 1), (1, 2), (0, 2)]).unwrap();
+        let costs = |(_, u, v): (EdgeId, Vertex, Vertex)| if (u, v) == (0, 2) { 25u64 } else { 10 };
+        let fwd: Vec<u64> = g.edges().map(costs).collect();
+        let _ = ExactScheme::from_costs(g, fwd.clone(), fwd, 10, 1);
+    }
+
+    #[test]
+    fn hop_dominance_is_strict_at_the_boundary() {
+        // n = 3: `3·min > 2·max` holds for costs in [10, 14]; at [10, 15]
+        // both sides are 30 and the strict check fails.
+        assert!(is_hop_dominant(3, &[10u64, 14, 14], &[14, 10, 12]));
+        assert!(!is_hop_dominant(3, &[10u64, 15, 10], &[10, 10, 10]));
+        assert!(is_hop_dominant::<u64>(1, &[], &[]), "edgeless graphs pass vacuously");
+        assert_eq!(times(&7u128, 0), 0);
+        assert_eq!(times(&7u128, 13), 91);
+    }
+
+    #[test]
+    fn in_repo_weight_constructions_are_hop_dominant() {
+        // `from_costs` asserts hop dominance, so building is the check:
+        // Theorem 20, Corollary 22 (coarsest grids of the experiments) and
+        // Theorem 23 on tie-rich and Internet-shaped graphs.
+        use crate::{GeometricAtw, RandomGridAtw};
+        use rsp_graph::gen;
+        let graphs = [
+            generators::grid(4, 5),
+            generators::cycle(7),
+            generators::hypercube(4),
+            gen::preferential_attachment(60, 3, 1),
+            gen::watts_strogatz(60, 4, 0.2, 2),
+            gen::isp_hierarchy(10, 50, 3),
+        ];
+        for g in &graphs {
+            let _ = RandomGridAtw::theorem20(g, 5).into_scheme();
+            for f in 0..3 {
+                let _ = RandomGridAtw::corollary22(g, f, 1, 7).into_scheme();
+            }
+            for k in [1, 2, 4] {
+                let _ = RandomGridAtw::with_half_width(g, k, 9).into_scheme();
+            }
+            let _ = GeometricAtw::new(g).into_scheme();
+        }
+        let _ = tiny_scheme();
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //!   ([`rsp_arith::PathCost::HEAP`]: flat inline-key lazy heap for
 //!   register-copy costs, indexed decrease-key heap for heavyweight
 //!   costs) make repeated `(source, fault set)` queries allocation-free;
+//! * [`layered_into`] — the heap-free kernel for hop-dominant costs (the
+//!   paper's Lemma 34: tiebreaking SPTs are layered like BFS trees), a
+//!   BFS over the same scratch that selects Dijkstra's trees; the exact
+//!   schemes in `rsp_core` run every SPT through it;
 //! * [`BatchScratch`] with [`bfs_batch`] / [`dijkstra_batch`] — the batch
 //!   engine over `sources × fault_sets`: fault sets agreeing on the early
 //!   search frontier share the settled prefix of a per-source baseline
@@ -71,6 +75,7 @@
 //! | [`FaultSet`] | the fault set `F`, `\|F\| ≤ f`; `G \ F` everywhere |
 //! | [`bfs`], [`bfs_into`] | ground-truth `dist_{G\F}`, the quantity every theorem bounds |
 //! | [`dijkstra`], [`dijkstra_into`] | unique shortest paths in the perturbed `G* \ F` (Definition 18) |
+//! | [`layered_into`] | Lemma 34: an SPT of `G*` is also a BFS tree of `G` |
 //! | [`bfs_batch`], [`dijkstra_batch`], [`parallel_indexed`] | experiment scaling: the `sources × fault_sets` query loops behind Sections 3–4 |
 //! | [`NextHopTable`] | Section 1's MPLS routing-table deployment |
 //! | [`generators`] | Theorem 37's 4-cycle, tie-rich grids/hypercubes, G(n,m) workloads |
@@ -130,7 +135,9 @@ pub use path::Path;
 pub use pool::{default_workers, parallel_frontier, parallel_indexed, FrontierStats, ShardedSet};
 pub use routing::NextHopTable;
 pub use rsp_arith::HeapKind;
-pub use scratch::{bfs_into, dijkstra_into, DirectedCosts, EdgeCostSource, SearchScratch};
+pub use scratch::{
+    bfs_into, dijkstra_into, layered_into, DirectedCosts, EdgeCostSource, SearchScratch,
+};
 pub use spt::WeightedSpt;
 pub use tree::{tree_edge_child, SubtreeScratch};
 pub use weights::{weighted_sssp, EdgeWeights};

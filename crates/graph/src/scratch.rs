@@ -27,11 +27,14 @@
 //!   [`PathCost::add_into`], which for [`rsp_arith::BigInt`] reuses limb
 //!   buffers instead of allocating per relaxed edge.
 //!
-//! The entry points are [`bfs_into`] and [`dijkstra_into`]; the classic
-//! [`crate::bfs`] / [`crate::dijkstra`] are thin wrappers that allocate one
-//! scratch, run the `_into` variant, and materialize an owned tree. Hot
-//! loops hold one scratch per concurrent tree and read results straight
-//! from it.
+//! The entry points are [`bfs_into`], [`dijkstra_into`] and
+//! [`layered_into`]; the classic [`crate::bfs`] / [`crate::dijkstra`] are
+//! thin wrappers that allocate one scratch, run the `_into` variant, and
+//! materialize an owned tree. Hot loops hold one scratch per concurrent
+//! tree and read results straight from it. [`layered_into`] is the
+//! heap-free kernel for hop-dominant costs (the tiebreaking schemes'
+//! Lemma 34 layering): a BFS that carries exact costs, filling the same
+//! arrays with the trees [`dijkstra_into`] would select.
 //!
 //! # Examples
 //!
@@ -173,8 +176,8 @@ impl<C: PathCost> EdgeCostSource<C> for DirectedCosts<'_, C> {
     }
 }
 
-/// Reusable single-source search state for [`bfs_into`] and
-/// [`dijkstra_into`].
+/// Reusable single-source search state for [`bfs_into`],
+/// [`dijkstra_into`] and [`layered_into`].
 ///
 /// One scratch holds the complete result of its most recent query — costs,
 /// hop counts, parent pointers, tie flag — readable through the accessor
@@ -206,7 +209,8 @@ pub struct SearchScratch<C = u32> {
     /// Vertex count of the most recent query's graph.
     pub(crate) n: usize,
     pub(crate) source: Vertex,
-    /// Whether the most recent query was weighted (`dijkstra_into`).
+    /// Whether the most recent query was weighted (`dijkstra_into` or
+    /// `layered_into`).
     pub(crate) weighted: bool,
     pub(crate) ties: bool,
     pub(crate) stamp: Vec<u32>,
@@ -239,7 +243,8 @@ pub struct SearchScratch<C = u32> {
     pub(crate) active: HeapKind,
     /// Forced heap engine, overriding the automatic choice.
     heap_override: Option<HeapKind>,
-    /// BFS frontier ring buffer (stored-width ids).
+    /// BFS frontier ring buffer (stored-width ids), shared by
+    /// [`bfs_into`] and [`layered_into`].
     pub(crate) queue: VecDeque<u32>,
     /// Dirty list: vertices reached by the current query, in reach order
     /// (stored-width ids).
@@ -345,8 +350,8 @@ impl<C: PathCost> SearchScratch<C> {
     }
 
     /// Exact cost of the selected source-to-`v` path, or `None` if `v` is
-    /// unreachable. Meaningful after [`dijkstra_into`] only; BFS queries
-    /// report `None` for every vertex.
+    /// unreachable. Meaningful after [`dijkstra_into`] or
+    /// [`layered_into`]; BFS queries report `None` for every vertex.
     #[inline]
     pub fn cost(&self, v: Vertex) -> Option<&C> {
         if self.weighted && self.reached(v) {
@@ -368,7 +373,7 @@ impl<C: PathCost> SearchScratch<C> {
     }
 
     /// Unweighted distance alias for [`SearchScratch::hops`] (the natural
-    /// name after a [`bfs_into`] query).
+    /// name after a [`bfs_into`] or [`layered_into`] query).
     #[inline]
     pub fn dist(&self, v: Vertex) -> Option<u32> {
         self.hops(v)
@@ -389,6 +394,11 @@ impl<C: PathCost> SearchScratch<C> {
     /// `true` iff the most recent weighted query saw two equal-cost ways to
     /// reach some vertex (the runtime witness that a tiebreaking weight
     /// function failed to be tie-free).
+    ///
+    /// After [`layered_into`] this is exactly a genuine tie: two
+    /// minimum-cost routes into one vertex. [`dijkstra_into`] also flags
+    /// equal non-minimal candidates its settle order happens to meet (see
+    /// [`layered_into`]'s "Tie flag").
     pub fn ties_detected(&self) -> bool {
         self.ties
     }
@@ -415,7 +425,9 @@ impl<C: PathCost> SearchScratch<C> {
     }
 
     /// Tree edge ids of the most recent query (one per reached non-source
-    /// vertex), in reach order. Iterates the dirty list, not all of `0..n`.
+    /// vertex), in reach order: first discovery for [`dijkstra_into`], BFS
+    /// layer order for [`bfs_into`] and [`layered_into`]. Iterates the
+    /// dirty list, not all of `0..n`.
     pub fn tree_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
         let source = self.source as u32;
         self.touched
@@ -449,9 +461,10 @@ impl<C: PathCost> SearchScratch<C> {
     ///
     /// # Panics
     ///
-    /// Panics if the most recent query was not a [`dijkstra_into`] run.
+    /// Panics if the most recent query was not weighted
+    /// ([`dijkstra_into`] or [`layered_into`]).
     pub fn to_weighted_spt(&self) -> WeightedSpt<C> {
-        assert!(self.weighted, "to_weighted_spt needs a dijkstra_into query");
+        assert!(self.weighted, "to_weighted_spt needs a weighted query");
         let mut cost = vec![None; self.n];
         let mut parent = vec![None; self.n];
         let mut hops = vec![0u32; self.n];
@@ -852,6 +865,159 @@ fn dijkstra_run_inline<C, F, O>(
     }
 }
 
+/// Runs the layered, heap-free shortest-path search from `source` in
+/// `g \ faults` into `scratch`: the sequential form of the paper's
+/// Lemma 34, which observes that a shortest-path tree under tiebreaking
+/// weights is layered exactly like a BFS tree.
+///
+/// # Hop-dominant costs
+///
+/// The search is exact for *hop-dominant* costs: every path with fewer
+/// hops costs strictly less than every path with more. `n·min > (n−1)·max`
+/// over all directed edge costs is sufficient, and
+/// `rsp_core::ExactScheme::from_costs` checks exactly that. Tiebreaking
+/// weights satisfy it by construction: Theorem 20 stores `2nK + i` with
+/// `|Σi| < nK` along any simple path, so hop classes never mix.
+///
+/// On such costs every minimum-cost path is a hop-shortest path, so the
+/// search is a BFS that carries costs along:
+///
+/// * vertices leave the FIFO `queue` in BFS order, one hop layer after
+///   the next, and no heap is involved;
+/// * a newly reached `v` takes `hops[u] + 1`, `key[u] + w(u → v)` and the
+///   parent `(u, e)`;
+/// * a `v` already reached in the next layer keeps the smaller candidate
+///   cost. On an equal cost it keeps the parent `p` with the smaller
+///   `(key[p], p)`, which is the parent Dijkstra's `(cost, id)` settle order
+///   picks. Edges into the same or an earlier layer are never costed:
+///   hop dominance makes them strictly worse.
+///
+/// Reached set, costs, hop counts and parents are then cell-identical to
+/// [`dijkstra_into`], also where costs tie. On costs that are *not* hop-dominant
+/// the search still returns, per vertex, the cheapest hop-shortest path
+/// (the `(hops, cost)` optimum), which is then not the minimum-cost path.
+///
+/// # Tie flag
+///
+/// [`SearchScratch::ties_detected`] reports a *genuine* tie: some reached
+/// vertex has two minimum-cost routes, i.e. shortest paths in `G* \ F` are
+/// not unique. Dijkstra's flag is order-dependent on top of that: it is
+/// also set when two equal but non-minimal candidates happen to meet its
+/// running best (see [`crate::reference::ref_dijkstra`]). The two flags
+/// therefore agree whenever Dijkstra sees no such non-minimal collision,
+/// which includes every tie-free weight function and every genuine tie,
+/// and this flag implies Dijkstra's. An equal-cost candidate is the only
+/// way a genuine tie can arise, so the exact check is one extra pass over
+/// the reached vertices, run only after the search met one.
+///
+/// `touched` (and [`SearchScratch::tree_edges`]) lists vertices in BFS
+/// discovery order.
+///
+/// # Panics
+///
+/// Panics if `source >= g.n()`.
+///
+/// # Examples
+///
+/// ```
+/// use rsp_graph::{dijkstra_into, generators, layered_into, FaultSet, SearchScratch};
+///
+/// // Unit 1000 with a per-edge perturbation of at most 7: hop-dominant.
+/// let g = generators::grid(4, 4);
+/// let cost = |e: usize, u: usize, v: usize| 1000 + (e as u64 % 7) + u64::from(u < v);
+/// let faults = FaultSet::single(3);
+/// let mut layered = SearchScratch::<u64>::new();
+/// let mut heap = SearchScratch::<u64>::new();
+/// layered_into(&g, 0, &faults, cost, &mut layered);
+/// dijkstra_into(&g, 0, &faults, cost, &mut heap);
+/// for v in g.vertices() {
+///     assert_eq!(layered.cost(v), heap.cost(v));
+///     assert_eq!(layered.parent(v), heap.parent(v));
+/// }
+/// ```
+pub fn layered_into<C, F>(
+    g: &Graph,
+    source: Vertex,
+    faults: &FaultSet,
+    mut costs: F,
+    scratch: &mut SearchScratch<C>,
+) where
+    C: PathCost,
+    F: EdgeCostSource<C>,
+{
+    assert!(source < g.n(), "layered source {source} out of range");
+    scratch.begin(g.n(), source, true);
+    // A local candidate buffer: register-resident for `Copy` costs, and
+    // for `BigInt` a limb buffer that swaps with the adopted keys.
+    let mut cand = mem::replace(&mut scratch.cand, C::zero());
+    let SearchScratch { epoch, stamp, key, parent, hops, queue, touched, ties, .. } = scratch;
+    let epoch = *epoch;
+    stamp[source] = epoch;
+    key[source].set_zero();
+    hops[source] = 0;
+    touched.push(source as u32);
+    queue.push_back(source as u32);
+
+    let mut equal_seen = false;
+    while let Some(u) = queue.pop_front() {
+        let u = u as usize;
+        let next = hops[u] + 1;
+        for (v, e) in g.neighbors(u) {
+            if faults.contains(e) {
+                continue;
+            }
+            if stamp[v] != epoch {
+                stamp[v] = epoch;
+                costs.accumulate(&key[u], e, u, v, &mut cand);
+                mem::swap(&mut key[v], &mut cand);
+                hops[v] = next;
+                parent[v] = (u as u32, e as u32);
+                touched.push(v as u32);
+                queue.push_back(v as u32);
+            } else if hops[v] == next {
+                costs.accumulate(&key[u], e, u, v, &mut cand);
+                match cand.cmp(&key[v]) {
+                    Ordering::Less => {
+                        mem::swap(&mut key[v], &mut cand);
+                        parent[v] = (u as u32, e as u32);
+                    }
+                    Ordering::Equal => {
+                        equal_seen = true;
+                        let p = parent[v].0 as usize;
+                        if (&key[u], u) < (&key[p], p) {
+                            parent[v] = (u as u32, e as u32);
+                        }
+                    }
+                    Ordering::Greater => {}
+                }
+            }
+        }
+    }
+
+    if equal_seen {
+        // Keys are final: a tie is genuine iff some vertex has two tight
+        // in-edges from the layer before it.
+        'verify: for &v in touched.iter() {
+            let v = v as usize;
+            let mut tight = 0;
+            for (u, e) in g.neighbors(v) {
+                if faults.contains(e) || stamp[u] != epoch || hops[u] + 1 != hops[v] {
+                    continue;
+                }
+                costs.accumulate(&key[u], e, u, v, &mut cand);
+                if cand == key[v] {
+                    tight += 1;
+                    if tight == 2 {
+                        *ties = true;
+                        break 'verify;
+                    }
+                }
+            }
+        }
+    }
+    scratch.cand = cand;
+}
+
 /// `(key, id)`-lexicographic heap order; the id component never decides
 /// path selection, it only makes the order total (and reproduces the lazy
 /// binary heap's settle order on tied costs).
@@ -1034,6 +1200,58 @@ mod tests {
         got.sort_unstable();
         expected.sort_unstable();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn layered_tree_edges_match_dijkstra_as_a_set() {
+        // The dirty list is in BFS discovery order under the layered
+        // kernel; `tree_edges` consumers read it as a set.
+        let g = generators::grid(5, 6);
+        let cost = |e: EdgeId, u: Vertex, v: Vertex| 1000 + (e as u64 % 5) + u64::from(u < v);
+        let mut layered = SearchScratch::<u64>::new();
+        let mut heap = SearchScratch::<u64>::new();
+        for (s, faults) in [(0, FaultSet::empty()), (13, FaultSet::from_edges([3, 17, 30]))] {
+            layered_into(&g, s, &faults, cost, &mut layered);
+            dijkstra_into(&g, s, &faults, cost, &mut heap);
+            let mut got: Vec<EdgeId> = layered.tree_edges().collect();
+            let mut expected: Vec<EdgeId> = heap.tree_edges().collect();
+            got.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(got, expected, "source {s}");
+            let hops: Vec<u32> =
+                layered.touched.iter().map(|&v| layered.hops[v as usize]).collect();
+            assert!(hops.windows(2).all(|w| w[0] <= w[1]), "touched is in BFS layer order");
+        }
+    }
+
+    #[test]
+    fn layered_flags_only_genuine_ties() {
+        // 0 reaches 1, 2, 3 at costs 100, 101, 102; all three reach 4.
+        // Via 1 and via 2 both cost 202 and Dijkstra, settling 1 then 2,
+        // flags that equal pair before 3 offers 201. Only one route into
+        // 4 is minimum-cost, so the layered kernel reports no tie; the
+        // trees are identical either way.
+        let g = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]).unwrap();
+        let w = |e: EdgeId| [100u64, 101, 102, 102, 101, 99][e];
+        let mut layered = SearchScratch::<u64>::new();
+        let mut heap = SearchScratch::<u64>::new();
+        layered_into(&g, 0, &FaultSet::empty(), |e, _, _| w(e), &mut layered);
+        dijkstra_into(&g, 0, &FaultSet::empty(), |e, _, _| w(e), &mut heap);
+        for v in g.vertices() {
+            assert_eq!(layered.cost(v), heap.cost(v), "cost({v})");
+            assert_eq!(layered.parent(v), heap.parent(v), "parent({v})");
+        }
+        assert_eq!(layered.cost(4), Some(&201));
+        assert!(heap.ties_detected(), "Dijkstra met 202 twice before 201");
+        assert!(!layered.ties_detected(), "201 via 3 is the unique minimum");
+
+        // Make the route via 3 cost 202 as well: now 4 has two
+        // minimum-cost routes, a genuine tie both engines flag.
+        let w = |e: EdgeId| [100u64, 101, 100, 102, 101, 102][e];
+        layered_into(&g, 0, &FaultSet::empty(), |e, _, _| w(e), &mut layered);
+        dijkstra_into(&g, 0, &FaultSet::empty(), |e, _, _| w(e), &mut heap);
+        assert!(layered.ties_detected() && heap.ties_detected());
+        assert_eq!(layered.parent(4), heap.parent(4));
     }
 
     #[test]

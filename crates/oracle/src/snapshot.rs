@@ -612,10 +612,11 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     /// its canonical tree, the precomputed tree *is* the answer — removing non-tree edges
     /// changes no selected shortest path (the unique minimum-cost paths
     /// survive and nothing cheaper appears). **Engine path** otherwise:
-    /// an exact search in `G* \ (base ∪ F)` inside `scratch`,
-    /// allocation-free once the scratch is warm (snapshots with
-    /// non-empty [`OracleSnapshot::base_faults`] allocate one temporary
-    /// union set on this path). Both paths return answers
+    /// an exact search in `G* \ (base ∪ F)` inside `scratch` with
+    /// [`ExactScheme::spt_into`], the heap-free layered kernel the rows
+    /// were built with. It is allocation-free once the scratch is warm
+    /// (snapshots with non-empty [`OracleSnapshot::base_faults`] allocate
+    /// one temporary union set on this path). Both paths return answers
     /// byte-identical to [`rsp_core::Rpts::tree_from_with`].
     ///
     /// # Panics
@@ -659,6 +660,12 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     /// list — returns a [`QueryError`] instead of panicking, so one bad
     /// wire frame cannot take down a serving thread.
     ///
+    /// The engine path runs [`ExactScheme::spt_into`], the same layered
+    /// kernel [`SnapshotBuilder::try_build`] fills the rows with, so fast
+    /// and engine answers come from one SPT code path. The independent
+    /// audits — the churn cross-check and the scrubber — stay on
+    /// [`rsp_graph::dijkstra_batch`].
+    ///
     /// # Examples
     ///
     /// ```
@@ -696,7 +703,7 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
             }
         }
         let effective = self.effective_faults(faults);
-        rsp_graph::dijkstra_into(g, s, &effective, self.scheme.directed_costs(), scratch);
+        self.scheme.spt_into(s, &effective, scratch);
         Ok(TreeView { inner: ViewInner::Searched { scratch } })
     }
 

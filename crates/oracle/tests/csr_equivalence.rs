@@ -4,11 +4,21 @@
 //! pre-migration Vec-of-Vec reference engine reading the scheme's weight
 //! tables, on the Internet-shaped generator families. This closes the
 //! differential loop through every layer above the graph crate.
+//!
+//! Snapshot rows come from the layered kernel behind
+//! `ExactScheme::spt_into`; one property pins every row of a build with
+//! base faults against `dijkstra_batch`, the heap engine the churn
+//! cross-check and the scrubber audit with.
+
+use std::ops::ControlFlow;
 
 use proptest::prelude::*;
 use rsp_core::RandomGridAtw;
 use rsp_graph::reference::{ref_dijkstra, RefGraph, RefTree};
-use rsp_graph::{gen, generators, EdgeCostSource, FaultSet, Graph, SearchScratch};
+use rsp_graph::{
+    dijkstra_batch, gen, generators, BatchScratch, EdgeCostSource, FaultSet, Graph, SearchScratch,
+    Vertex,
+};
 use rsp_oracle::churn::inject::{random_trace, verify_converged};
 use rsp_oracle::churn::ChurnPipeline;
 use rsp_oracle::OracleSnapshot;
@@ -70,6 +80,44 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Every row `try_build` fills on an ISP graph with base faults baked
+    /// in equals `dijkstra_batch` on `G \ base` cell for cell: hops,
+    /// parents and exact costs, unreached vertices included.
+    #[test]
+    fn try_build_rows_equal_dijkstra_batch_under_base_faults(
+        n in 12usize..=40,
+        gseed in any::<u64>(),
+        wseed in any::<u64>(),
+        base_picks in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
+    ) {
+        let g = gen::isp_hierarchy(5 + n / 4, n, gseed);
+        let scheme = RandomGridAtw::theorem20(&g, wseed).into_scheme();
+        let base = FaultSet::from_edges(base_picks.iter().map(|p| p.index(g.m())));
+        let snap = OracleSnapshot::builder(&scheme).base_faults(base.clone()).try_build().unwrap();
+        let sources: Vec<Vertex> = g.vertices().collect();
+        let mut batch = BatchScratch::with_capacity(g.n());
+        let mut rows = 0;
+        dijkstra_batch(
+            &g,
+            &sources,
+            std::slice::from_ref(&base),
+            scheme.directed_costs(),
+            &mut batch,
+            |si, _, engine| {
+                let s = sources[si];
+                let row = snap.baseline(s).expect("every vertex is served");
+                for v in g.vertices() {
+                    assert_eq!(row.dist(v), engine.hops(v), "hops s{s} v{v}");
+                    assert_eq!(row.parent(v), engine.parent(v), "parent s{s} v{v}");
+                    assert_eq!(row.cost(v), engine.cost(v), "cost s{s} v{v}");
+                }
+                rows += 1;
+                ControlFlow::Continue(())
+            },
+        );
+        prop_assert_eq!(rows, g.n());
     }
 
     /// A committed churn trace: the published snapshot's base fault state

@@ -336,6 +336,22 @@ mod tests {
     }
 
     #[test]
+    fn bad_scheme_is_hop_dominant_at_every_shape() {
+        // `ExactScheme::from_costs` asserts hop dominance; the bad scheme
+        // keeps its perturbations below one hop (`scale > n·λ`), so it
+        // builds for every lower-bound shape the experiments use.
+        for (f, d, x) in [(1, 3, 2), (1, 5, 6), (1, 8, 24), (2, 4, 4), (2, 6, 2)] {
+            let lb = build_lower_bound_graph(f, d, x);
+            let bad = lb.bad_scheme();
+            let tree = bad.tree_from(lb.source, &FaultSet::empty());
+            let truth = bfs(&lb.graph, lb.source, &FaultSet::empty());
+            for v in lb.graph.vertices() {
+                assert_eq!(tree.dist(v), truth.dist(v), "f={f} d={d} vertex {v}");
+            }
+        }
+    }
+
+    #[test]
     fn bad_scheme_is_antisymmetric_trivially() {
         // Symmetric weights: fwd = bwd, so fwd + bwd = 2·unit fails unless
         // the perturbation is zero — bipartite edges break it, which is
