@@ -275,13 +275,6 @@ impl<'a, C: PathCost + 'static> DeltaBuilder<'a, C> {
     }
 }
 
-/// `v`'s parent in a tree row, in the `(vertex, edge)` form the cut
-/// helpers consume.
-fn row_parent<C>(r: &TreeRow<C>, v: Vertex) -> Option<(Vertex, EdgeId)> {
-    let p = r.parent_vertex[v];
-    (p != NONE).then(|| (p as Vertex, r.parent_edge[v] as EdgeId))
-}
-
 /// Reusable per-build state for the localized patch waves: the lazy
 /// `(cost, vertex)` heap, a candidate-cost buffer, and the subtree
 /// scratch — allocated once, reused across every `(event, row)` pair.
@@ -327,11 +320,11 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
         // Arc clone detaches the borrow from `snap` and is dropped
         // before `make_mut`, so an already-unshared row is not cloned.
         let r = Arc::clone(snap.row_arc(row_idx));
-        let Some(child) = tree_edge_child(g, e, |v| row_parent(&r, v)) else {
+        let Some(child) = tree_edge_child(g, e, |v| r.parent(g, v)) else {
             return Ok(());
         };
         let mut detached = std::mem::take(&mut self.detached);
-        self.subtree.collect_subtree(g, child, |v| row_parent(&r, v), &mut detached);
+        self.subtree.collect_subtree(g, child, |v| r.parent(g, v), &mut detached);
         drop(r);
 
         // Write phase: clear the detached cells, seed every cut-crossing
@@ -446,7 +439,6 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
             }
         }
         row.costs[to].clone_from(&self.cand);
-        row.parent_vertex[to] = from as u32;
         row.parent_edge[to] = e as u32;
         row.hops[to] = row.hops[from] + 1;
         self.stats.cells_recomputed += 1;

@@ -442,10 +442,7 @@ pub fn corrupt_published_row<C: PathCost + 'static>(
     let victim = (0..n).find(|&v| v != s && row.hops[v] != NONE)?;
     match kind {
         CellCorruption::Hop => row.hops[victim] += 1,
-        CellCorruption::Parent => {
-            row.parent_vertex[victim] = NONE;
-            row.parent_edge[victim] = NONE;
-        }
+        CellCorruption::Parent => row.parent_edge[victim] = NONE,
         CellCorruption::Cost => row.costs[victim].set_zero(),
     }
     oracle.publish(corrupted);

@@ -340,30 +340,25 @@ fn audit_rows<C: PathCost + 'static>(
         let Some(row) = snap.row_of(s).map(|r| snap.row_arc(r)) else {
             return ControlFlow::Continue(());
         };
-        let mut mismatch = false;
-        let mut truth: TreeRow<C> = TreeRow::unreached(g.n());
-        for v in g.vertices() {
+        let mismatch = g.vertices().any(|v| {
             let hops = run.hops(v);
             let parent = run.parent(v);
-            if let Some(h) = hops {
+            let cell_hops = (row.hops[v] != NONE).then_some(row.hops[v]);
+            let cell_cost = cell_hops.is_some().then(|| &row.costs[v]);
+            cell_hops != hops || row.parent(g, v) != parent || cell_cost != run.cost(v)
+        });
+        if mismatch {
+            let mut truth: TreeRow<C> = TreeRow::unreached(g.n());
+            for v in g.vertices() {
+                let Some(h) = run.hops(v) else { continue };
                 truth.hops[v] = h;
                 if let Some(c) = run.cost(v) {
                     truth.costs[v].clone_from(c);
                 }
-                if let Some((p, e)) = parent {
-                    truth.parent_vertex[v] = p as u32;
+                if let Some((_, e)) = run.parent(v) {
                     truth.parent_edge[v] = e as u32;
                 }
             }
-            let cell_hops = (row.hops[v] != NONE).then_some(row.hops[v]);
-            let cell_parent = (row.parent_vertex[v] != NONE)
-                .then(|| (row.parent_vertex[v] as Vertex, row.parent_edge[v] as usize));
-            let cell_cost = cell_hops.is_some().then(|| &row.costs[v]);
-            if cell_hops != hops || cell_parent != parent || cell_cost != run.cost(v) {
-                mismatch = true;
-            }
-        }
-        if mismatch {
             corrupt.push((s, truth));
         }
         ControlFlow::Continue(())

@@ -6,9 +6,10 @@
 //! * the graph and the scheme's per-direction exact costs (owned, so a
 //!   snapshot is self-contained and `'static`);
 //! * one **canonical fault-free tree per serving source**, stored
-//!   struct-of-arrays (`u32` parent vertex / parent edge / hop count,
-//!   plus the exact path cost) — the restoration lemma's "paths you
-//!   already stored";
+//!   struct-of-arrays (`u32` parent edge / hop count plus the exact path
+//!   cost — 24 B per cell for `u128` costs; the parent vertex is the
+//!   parent edge's other endpoint, derived on read) — the restoration
+//!   lemma's "paths you already stored";
 //! * optionally, the Theorem 30 **fault labels** and the Theorem 26
 //!   **`S × V` preserver edge set**, the two shippable artifacts a
 //!   deployment distributes to off-box consumers.
@@ -125,6 +126,12 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// One interned canonical tree row: the flat per-vertex arrays of a
 /// single source's selected shortest-path tree.
 ///
+/// A cell is the parent edge, the hop count and the exact cost — 24 B
+/// for `u128` costs. The parent *vertex* is not stored: it is the other
+/// endpoint of the parent edge, derived by [`TreeRow::parent`]. The
+/// footprint test below pins the layout, so a new column has to pay
+/// for itself in review.
+///
 /// Rows are stored behind [`Arc`] so snapshots derived from one another
 /// (the delta builder in [`crate::delta`]) share the storage of every
 /// row the change did not touch — copy-on-write via [`Arc::make_mut`].
@@ -133,10 +140,8 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// "silently rebuilt".
 #[derive(Clone, Debug)]
 pub(crate) struct TreeRow<C> {
-    /// Parent vertex in the selected tree, [`NONE`] for the source and
-    /// unreachable vertices.
-    pub(crate) parent_vertex: Vec<u32>,
-    /// Edge id to the parent, [`NONE`] alongside `parent_vertex`.
+    /// Edge id to the parent in the selected tree, [`NONE`] for the
+    /// source and unreachable vertices.
     pub(crate) parent_edge: Vec<u32>,
     /// Hop count from the source, [`NONE`] when unreachable.
     pub(crate) hops: Vec<u32>,
@@ -148,22 +153,41 @@ pub(crate) struct TreeRow<C> {
 impl<C: PathCost> TreeRow<C> {
     /// A row with every vertex unreached.
     pub(crate) fn unreached(n: usize) -> Self {
-        let mut costs = Vec::new();
+        let mut costs = Vec::with_capacity(n);
         costs.resize_with(n, C::zero);
-        TreeRow {
-            parent_vertex: vec![NONE; n],
-            parent_edge: vec![NONE; n],
-            hops: vec![NONE; n],
-            costs,
-        }
+        TreeRow { parent_edge: vec![NONE; n], hops: vec![NONE; n], costs }
     }
 
     /// Resets one cell to the unreached state, keeping cost storage.
     pub(crate) fn clear_cell(&mut self, v: Vertex) {
-        self.parent_vertex[v] = NONE;
         self.parent_edge[v] = NONE;
         self.hops[v] = NONE;
         self.costs[v].set_zero();
+    }
+
+    /// `v`'s parent as `(vertex, edge id)`: the endpoint of
+    /// `parent_edge[v]` that is not `v`. `None` when `v` is out of range
+    /// or its edge is [`NONE`], out of range, or not incident to `v` —
+    /// so even a corrupt cell never yields an out-of-range vertex.
+    pub(crate) fn parent(&self, g: &Graph, v: Vertex) -> Option<(Vertex, EdgeId)> {
+        let e = *self.parent_edge.get(v)? as EdgeId;
+        if e >= g.m() {
+            return None;
+        }
+        match g.endpoints(e) {
+            (a, b) if a == v => Some((b, e)),
+            (a, b) if b == v => Some((a, e)),
+            _ => None,
+        }
+    }
+
+    /// Heap bytes the row's columns hold (footprint test seam).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.parent_edge.capacity() * size_of::<u32>()
+            + self.hops.capacity() * size_of::<u32>()
+            + self.costs.capacity() * size_of::<C>()
     }
 }
 
@@ -389,8 +413,7 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
                 if let Some(c) = scratch.cost(v) {
                     row.costs[v].clone_from(c);
                 }
-                if let Some((p, e)) = scratch.parent(v) {
-                    row.parent_vertex[v] = p as u32;
+                if let Some((_, e)) = scratch.parent(v) {
                     row.parent_edge[v] = e as u32;
                 }
             }
@@ -834,11 +857,7 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     /// routing next hop *toward the source* — the MPLS-table view.
     pub fn parent(&self, t: Vertex) -> Option<(Vertex, EdgeId)> {
         match &self.inner {
-            ViewInner::Baseline { snap, row, .. } => {
-                let r = &snap.rows[*row];
-                let p = *r.parent_vertex.get(t)?;
-                (p != NONE).then(|| (p as Vertex, r.parent_edge[t] as EdgeId))
-            }
+            ViewInner::Baseline { snap, row, .. } => snap.rows[*row].parent(snap.graph(), t),
             ViewInner::Searched { scratch } => scratch.parent(t),
         }
     }
@@ -847,23 +866,131 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     ///
     /// Allocates the returned [`Path`] — use the zero-allocation
     /// accessors on the hot path and this for result materialization.
+    ///
+    /// On the fast path the walk follows the row's parent edges for at
+    /// most `hops[t]` steps (and never more than `n - 1`). A corrupt row
+    /// the scrubber has not yet quarantined — a missing parent, a parent
+    /// edge not incident to its vertex, a cycle, a hop count that
+    /// disagrees with the chain — yields `None`, never a panic or an
+    /// endless loop.
     pub fn path_to(&self, t: Vertex) -> Option<Path> {
         match &self.inner {
-            ViewInner::Baseline { source, .. } => {
-                if !self.reached(t) {
+            ViewInner::Baseline { snap, row, source } => {
+                let g = snap.graph();
+                let r = &snap.rows[*row];
+                let hops = self.dist(t)? as usize;
+                if hops >= g.n() {
                     return None;
                 }
-                let mut verts = vec![t];
+                let mut verts = Vec::with_capacity(hops + 1);
+                verts.push(t);
                 let mut cur = t;
-                while cur != *source {
-                    let (p, _) = self.parent(cur).expect("reached non-source has a parent");
-                    verts.push(p);
-                    cur = p;
+                for _ in 0..hops {
+                    cur = r.parent(g, cur)?.0;
+                    verts.push(cur);
+                }
+                if cur != *source {
+                    return None;
                 }
                 verts.reverse();
                 Some(Path::new(verts))
             }
             ViewInner::Searched { scratch } => scratch.path_to(t),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::churn::inject::{corrupt_published_row, CellCorruption};
+    use crate::Oracle;
+    use rsp_core::RandomGridAtw;
+    use rsp_graph::generators;
+
+    fn grid_snapshot() -> OracleSnapshot<u128> {
+        let g = generators::grid(4, 4);
+        OracleSnapshot::builder(&RandomGridAtw::theorem20(&g, 42).into_scheme()).build()
+    }
+
+    /// Corrupts `t`'s parent edge in source 0's row.
+    fn with_parent_edge(mut snap: OracleSnapshot<u128>, t: Vertex, e: u32) -> OracleSnapshot<u128> {
+        let row = snap.row_of(0).unwrap();
+        Arc::make_mut(snap.row_arc_mut(row)).parent_edge[t] = e;
+        snap
+    }
+
+    /// Every fast-path walk in `view` returns (no panic, no endless
+    /// loop) either `None` or the clean row's path.
+    fn assert_paths_sound(view: &TreeView<'_, u128>) {
+        let clean = grid_snapshot();
+        let clean_view = clean.baseline(0).unwrap();
+        for t in clean.graph().vertices() {
+            if let Some(p) = view.path_to(t) {
+                assert_eq!(Some(p), clean_view.path_to(t), "target {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn u128_row_holds_exactly_edge_hops_and_cost() {
+        let snap = grid_snapshot();
+        let n = snap.graph().n();
+        for row in 0..snap.sources().len() {
+            assert_eq!(snap.row_arc(row).heap_bytes(), n * (2 * 4 + 16));
+        }
+    }
+
+    #[test]
+    fn corrupt_parent_on_the_fast_path_yields_none_not_a_panic() {
+        let oracle = Oracle::new(grid_snapshot());
+        let victim = corrupt_published_row(&oracle, 0, CellCorruption::Parent).unwrap();
+        let published = oracle.snapshot();
+        let mut scratch = SearchScratch::with_capacity(published.graph().n());
+        let view = published.query(0, &FaultSet::empty(), &mut scratch);
+        assert!(view.from_baseline(), "the scrubber has not quarantined the row yet");
+        assert_eq!(view.parent(victim), None);
+        assert_eq!(view.path_to(victim), None);
+        assert_paths_sound(&view);
+    }
+
+    #[test]
+    fn non_incident_parent_edge_yields_none() {
+        let snap = grid_snapshot();
+        let g = snap.graph();
+        let t = g.n() - 1;
+        let stray = (0..g.m())
+            .find(|&e| {
+                let (a, b) = g.endpoints(e);
+                a != t && b != t
+            })
+            .unwrap();
+        let snap = with_parent_edge(snap, t, stray as u32);
+        let view = snap.baseline(0).unwrap();
+        assert_eq!(view.parent(t), None);
+        assert_eq!(view.path_to(t), None);
+        assert!(view.reached(t), "the hop cell still says reached");
+        assert_eq!(view.parent(t + 1), None, "out-of-range vertex");
+        assert_paths_sound(&view);
+    }
+
+    #[test]
+    fn parent_cycle_terminates_with_none() {
+        let snap = grid_snapshot();
+        let g = snap.graph();
+        let r = snap.row_arc(0);
+        // Point a vertex's parent edge at one of its own children: the
+        // chain t -> child -> t -> ... never reaches the source.
+        let (t, child_edge) = g
+            .vertices()
+            .filter(|&t| t != 0)
+            .find_map(|t| {
+                g.neighbors(t).find(|&(x, e)| r.parent(g, x) == Some((t, e))).map(|(_, e)| (t, e))
+            })
+            .unwrap();
+        let snap = with_parent_edge(snap, t, child_edge as u32);
+        let view = snap.baseline(0).unwrap();
+        assert_eq!(view.path_to(t), None);
+        assert_paths_sound(&view);
     }
 }
