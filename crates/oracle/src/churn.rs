@@ -32,7 +32,8 @@
 //!   state from the journal.
 //! * **Deterministic recovery.** The accepted-event journal is
 //!   append-only; [`ChurnPipeline::replay`] reconstructs an identical
-//!   pipeline from it after a crash.
+//!   pipeline from it after a crash, folding the journal first and
+//!   compiling a single snapshot at the folded state.
 //! * **Durable, bounded journal state.** Journal streams serialize
 //!   through the CRC-framed codec in [`rsp_graph::journal`]
 //!   ([`ChurnPipeline::export_journal`]); [`ChurnPipeline::checkpoint`]
@@ -529,21 +530,39 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
     /// [`ChurnPipeline::new`] with an explicit configuration.
     pub fn with_config(scheme: &ExactScheme<C>, config: ChurnConfig) -> Result<Self, BuildError> {
         let snapshot = OracleSnapshot::builder(scheme).version(0).try_build()?;
-        let oracle = Oracle::new(snapshot);
-        Ok(ChurnPipeline {
-            oracle,
+        let state = FaultState::new(scheme.graph().m());
+        Ok(Self::assemble(scheme, config, snapshot, genesis(state.clone()), state, Vec::new()))
+    }
+
+    /// Wraps a compiled snapshot in a pipeline whose accepted history is
+    /// `base` (the compacted prefix) plus `journal` (the tail), with
+    /// `state` their fold. The snapshot must fold in exactly that state:
+    /// it is published as epoch 1 with nothing pending.
+    fn assemble(
+        scheme: &ExactScheme<C>,
+        config: ChurnConfig,
+        snapshot: OracleSnapshot<C>,
+        base: JournalCheckpoint,
+        state: FaultState,
+        journal: Vec<FaultEvent>,
+    ) -> Self {
+        let accepted_seq = base.seq + journal.len() as u64;
+        ChurnPipeline {
+            oracle: Oracle::new(snapshot),
             scheme: scheme.clone(),
-            state: FaultState::new(scheme.graph().m()),
-            journal: Vec::new(),
-            base_seq: 0,
-            base_state: FaultState::new(scheme.graph().m()),
-            base_epoch: 0,
+            state,
+            // Replayed events count as offered: quarantine indices
+            // number every event this pipeline has seen.
+            offered: journal.len() as u64,
+            journal,
+            base_seq: base.seq,
+            base_state: base.state,
+            base_epoch: base.epoch,
             last_checkpoint: None,
             quarantine: Vec::new(),
             quarantined_total: 0,
             shed: 0,
-            offered: 0,
-            published_seq: 0,
+            published_seq: accepted_seq,
             consecutive_failures: 0,
             commits: 0,
             full_rebuilds: 0,
@@ -554,15 +573,22 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
             config,
             sleeper: Box::new(std::thread::sleep),
             probe: None,
-        })
+        }
     }
 
     /// Reconstructs a pipeline from an accepted-event journal — the
     /// deterministic crash-recovery path. Every journal event is
-    /// re-validated and re-applied in order, then a single snapshot
-    /// folding the full journal is built and published; the result is
-    /// state-identical to the pipeline that wrote the journal (same
-    /// fault state, same published sequence, same snapshot cells).
+    /// re-validated and folded in order into a fault state first; then
+    /// exactly one snapshot is compiled at that state (panic-isolated
+    /// and cross-checked, under the commit retry ladder) and published
+    /// as epoch 1 with nothing pending. No fault-free genesis snapshot
+    /// is built on the way. The result is state-identical to the
+    /// pipeline that wrote the journal (same fault state, same
+    /// published sequence, same snapshot cells).
+    ///
+    /// A journal event that fails validation is
+    /// [`ReplayError::Rejected`] with its 1-based sequence; a build
+    /// that never passes is [`ReplayError::Stalled`].
     ///
     /// # Examples
     ///
@@ -583,27 +609,21 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
     /// let b = ChurnPipeline::replay(&scheme, a.journal(), ChurnConfig::default()).unwrap();
     /// assert_eq!(b.fault_state(), a.fault_state());
     /// assert_eq!(b.health().published_seq, a.health().published_seq);
+    /// assert_eq!(b.oracle().epoch(), 1, "one snapshot built, no commit");
     /// ```
     pub fn replay(
         scheme: &ExactScheme<C>,
         journal: &[FaultEvent],
         config: ChurnConfig,
     ) -> Result<Self, ReplayError> {
-        let mut pipeline = Self::with_config(scheme, config).map_err(ReplayError::Build)?;
-        for (i, &ev) in journal.iter().enumerate() {
-            // Recovery replays bypass admission control: re-validating
-            // an accepted journal must never be shed by the live cap.
-            pipeline
-                .ingest_validated(ev)
-                .map_err(|reason| ReplayError::Rejected { seq: i as u64 + 1, reason })?;
-        }
-        pipeline.commit().map_err(ReplayError::Stalled)?;
-        Ok(pipeline)
+        Self::fold_and_build(scheme, genesis(FaultState::new(scheme.graph().m())), journal, config)
     }
 
     /// Reconstructs a pipeline from a compaction checkpoint plus the
     /// journal tail recorded after it — recovery that skips replaying
-    /// the compacted prefix event by event. The result is
+    /// the compacted prefix event by event. The tail is folded onto the
+    /// checkpoint state first, then one snapshot is compiled at the
+    /// folded state, exactly as in [`ChurnPipeline::replay`]. The result is
     /// **state-identical to genesis replay** of the full journal (same
     /// fault state, same accepted sequence, same snapshot cells); the
     /// recovery-equivalence proptests pin this at every compaction
@@ -656,25 +676,43 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
         if checkpoint.seq == 0 && !checkpoint.state.is_empty() {
             return Err(ReplayError::CheckpointInconsistent { faults: checkpoint.state.len() });
         }
-        let mut pipeline = Self::with_config(scheme, config).map_err(ReplayError::Build)?;
-        pipeline.state = checkpoint.state.clone();
-        pipeline.base_state = checkpoint.state.clone();
-        pipeline.base_seq = checkpoint.seq;
-        pipeline.base_epoch = checkpoint.epoch;
-        for (i, &ev) in tail.iter().enumerate() {
-            pipeline.ingest_validated(ev).map_err(|reason| ReplayError::Rejected {
-                seq: checkpoint.seq + i as u64 + 1,
-                reason,
-            })?;
+        Self::fold_and_build(scheme, checkpoint.clone(), tail, config)
+    }
+
+    /// The one recovery path behind [`ChurnPipeline::replay`] and
+    /// [`ChurnPipeline::replay_from`]: re-validate and fold `tail` onto
+    /// `base`, then compile a single snapshot at the folded state.
+    ///
+    /// Canonical trees are a fixed function of `(G, F_base)`, so the
+    /// snapshot is built directly at the recovered fault state — no
+    /// genesis snapshot, no commit — and published as epoch 1 at
+    /// version `accepted_seq` with nothing pending. Events bypass
+    /// admission control: re-validating an accepted journal must never
+    /// be shed by the live cap.
+    fn fold_and_build(
+        scheme: &ExactScheme<C>,
+        base: JournalCheckpoint,
+        tail: &[FaultEvent],
+        config: ChurnConfig,
+    ) -> Result<Self, ReplayError> {
+        let mut state = base.state.clone();
+        for (seq, &ev) in (base.seq + 1..).zip(tail) {
+            state
+                .apply(ev)
+                .map_err(|e| ReplayError::Rejected { seq, reason: QuarantineReason::Event(e) })?;
         }
-        pipeline.commit().map_err(ReplayError::Stalled)?;
-        Ok(pipeline)
+        let accepted_seq = base.seq + tail.len() as u64;
+        let snapshot = recovery_build(scheme, state.faults(), accepted_seq, &config)
+            .map_err(ReplayError::Stalled)?;
+        Ok(Self::assemble(scheme, config, snapshot, base, state, tail.to_vec()))
     }
 
     /// Recovers a pipeline from a durable journal **byte stream** (the
     /// [`ChurnPipeline::export_journal`] format): decode every CRC-framed
-    /// entry, fold from the *last* checkpoint frame (genesis when there
-    /// is none), and replay the events after it.
+    /// entry, then fold from the *last* checkpoint frame (genesis when
+    /// there is none) through the events after it and build one
+    /// snapshot at the folded state ([`ChurnPipeline::replay_from`] /
+    /// [`ChurnPipeline::replay`]).
     ///
     /// A **torn tail** — the stream's final frame cut short by a crash
     /// mid-write — is tolerated as a clean recovery point and reported
@@ -725,8 +763,9 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
     /// durable storage.
     ///
     /// Checkpointing captures the **accepted** state, which may be
-    /// ahead of the published snapshot; recovery replays through its
-    /// own commit, so the distinction cannot leak into serving.
+    /// ahead of the published snapshot; recovery builds its snapshot at
+    /// the folded accepted state, so the distinction cannot leak into
+    /// serving.
     ///
     /// # Examples
     ///
@@ -915,8 +954,7 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
     }
 
     /// Validation + journal/quarantine, with admission control already
-    /// passed (recovery replay enters here: re-validating a journal must
-    /// never be shed by the live-traffic cap).
+    /// passed.
     fn ingest_validated(&mut self, ev: FaultEvent) -> Result<u64, QuarantineReason> {
         let index = self.offered;
         self.offered += 1;
@@ -1138,8 +1176,6 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
 /// Errors from [`ChurnPipeline::replay`] / [`ChurnPipeline::replay_from`].
 #[derive(Clone, Debug)]
 pub enum ReplayError {
-    /// The initial snapshot build failed.
-    Build(BuildError),
     /// A journal event failed validation — the journal is not an
     /// accepted-event journal of this scheme's graph.
     Rejected {
@@ -1162,15 +1198,15 @@ pub enum ReplayError {
         /// The impossible fault count.
         faults: usize,
     },
-    /// The recovery commit stalled (the pipeline is returned to a
-    /// serving state only on success, so this aborts recovery).
+    /// The recovery build never passed validation and the cross-check
+    /// within the retry ladder (the pipeline is returned to a serving
+    /// state only on success, so this aborts recovery).
     Stalled(ChurnStalled),
 }
 
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReplayError::Build(e) => write!(f, "replay: initial build failed: {e}"),
             ReplayError::Rejected { seq, reason } => {
                 write!(f, "replay: journal event {seq} rejected: {reason}")
             }
@@ -1183,7 +1219,11 @@ impl std::fmt::Display for ReplayError {
             ReplayError::CheckpointInconsistent { faults } => {
                 write!(f, "replay: checkpoint claims {faults} faults at sequence 0")
             }
-            ReplayError::Stalled(e) => write!(f, "replay: {e}"),
+            ReplayError::Stalled(e) => write!(
+                f,
+                "replay: recovery build failed after {} attempts: {}",
+                e.attempts, e.last_failure
+            ),
         }
     }
 }
@@ -1225,8 +1265,34 @@ pub struct RecoveryReport {
     pub torn_tail_at: Option<usize>,
 }
 
+/// The empty compacted prefix a fresh pipeline starts from.
+fn genesis(state: FaultState) -> JournalCheckpoint {
+    JournalCheckpoint { seq: 0, epoch: 0, state }
+}
+
+/// The recovery build: [`build_and_check`] at the recovered fault state
+/// under a commit's retry ladder — [`ChurnConfig::retry_budget`]
+/// attempts plus the escalation, with [`ChurnConfig::backoff`] between
+/// failures. There is no published predecessor to patch, so every
+/// attempt is a from-scratch build.
+fn recovery_build<C: PathCost + 'static>(
+    scheme: &ExactScheme<C>,
+    faults: &FaultSet,
+    version: u64,
+    config: &ChurnConfig,
+) -> Result<OracleSnapshot<C>, ChurnStalled> {
+    let build = || build_and_check(scheme, faults.clone(), version, BuildFault::None, config);
+    for attempt in 0..config.retry_budget {
+        match build() {
+            Ok(snapshot) => return Ok(snapshot),
+            Err(_) => std::thread::sleep(config.backoff(attempt)),
+        }
+    }
+    build().map_err(|last_failure| ChurnStalled { attempts: config.retry_budget + 1, last_failure })
+}
+
 /// The panic-isolated build-validate-cross-check step shared by
-/// incremental and full-rebuild attempts.
+/// incremental, full-rebuild and recovery attempts.
 fn build_and_check<C: PathCost + 'static>(
     scheme: &ExactScheme<C>,
     faults: FaultSet,

@@ -45,6 +45,35 @@ fn assert_state_identical(a: &ChurnPipeline<u128>, b: &ChurnPipeline<u128>) {
     verify_converged(b).unwrap();
 }
 
+/// The recovered pipeline publishes the live writer's snapshot cell for
+/// cell: the same served sources and, for each, the same `dist`,
+/// `parent` and `cost` at every vertex. `live` must be fully committed.
+fn assert_snapshots_equal(live: &ChurnPipeline<u128>, recovered: &ChurnPipeline<u128>) {
+    let (a, b) = (live.published_snapshot(), recovered.published_snapshot());
+    assert_eq!(a.sources(), b.sources(), "served sources diverge");
+    for &s in a.sources() {
+        let (ra, rb) = (a.baseline(s).unwrap(), b.baseline(s).unwrap());
+        for v in a.graph().vertices() {
+            assert_eq!(ra.dist(v), rb.dist(v), "dist({s} -> {v})");
+            assert_eq!(ra.parent(v), rb.parent(v), "parent({s} -> {v})");
+            assert_eq!(ra.cost(v), rb.cost(v), "cost({s} -> {v})");
+        }
+    }
+}
+
+/// Recovery compiles exactly one snapshot: the fresh oracle is still on
+/// its first epoch, that snapshot folds in every accepted event, and no
+/// commit ran on the way.
+fn assert_single_build(p: &ChurnPipeline<u128>) {
+    assert_eq!(p.oracle().epoch(), 1, "recovery publishes one snapshot");
+    assert_eq!(p.published_snapshot().version(), p.accepted_seq());
+    let health = p.health();
+    assert_eq!(health.pending_events, 0);
+    assert_eq!(health.commits, 0, "recovery runs no commit");
+    assert_eq!(health.delta_commits, 0);
+    assert_eq!(health.full_rebuilds, 0);
+}
+
 // ---------------------------------------------------------------------
 // Deterministic scenarios
 // ---------------------------------------------------------------------
@@ -79,9 +108,92 @@ fn export_recover_round_trip_with_compaction() {
     assert_eq!(report.events, 15);
     assert_eq!(report.torn_tail_at, None);
     assert_state_identical(&live, &recovered);
+    assert_snapshots_equal(&live, &recovered);
 
     let genesis = ChurnPipeline::replay(&scheme, &trace, config()).unwrap();
     assert_state_identical(&genesis, &recovered);
+    assert_snapshots_equal(&live, &genesis);
+}
+
+/// The recovered snapshot is built from scratch at the folded state,
+/// while the writer reached the same state through delta commits: both
+/// must publish the same cells, whether recovery starts at genesis or
+/// at a checkpoint.
+#[test]
+fn recovered_snapshot_equals_live_cell_for_cell() {
+    let g = generators::grid(5, 5);
+    let scheme = scheme_for(&g, 77);
+    let opts = TraceOptions { burst: 0.3, max_faults: Some(5), ..TraceOptions::default() };
+    let trace = random_trace_with(&g, 48, 0x5ca1e, opts);
+
+    let mut live = ChurnPipeline::with_config(&scheme, config()).unwrap();
+    for (i, chunk) in trace.chunks(6).enumerate() {
+        for &ev in chunk {
+            live.ingest(ev).unwrap();
+        }
+        live.commit().unwrap();
+        if i == 5 {
+            live.checkpoint();
+            live.compact();
+        }
+    }
+    assert!(live.health().delta_commits > 0, "the writer must take the delta path");
+    assert_eq!(live.journal().len(), 12, "a tail follows the checkpoint");
+
+    let genesis = ChurnPipeline::replay(&scheme, &trace, config()).unwrap();
+    assert_state_identical(&live, &genesis);
+    assert_snapshots_equal(&live, &genesis);
+
+    let (recovered, report) =
+        ChurnPipeline::recover(&scheme, &live.export_journal(), config()).unwrap();
+    assert_eq!(report.checkpoint_seq, 36);
+    assert_state_identical(&live, &recovered);
+    assert_snapshots_equal(&live, &recovered);
+}
+
+/// Recovery folds the journal first and builds once: right after
+/// `replay`, `replay_from` and `recover` — from genesis, from a
+/// checkpoint with a tail, and from a bare checkpoint — the oracle is on
+/// epoch 1, its snapshot's version is the accepted sequence, and
+/// nothing is pending.
+#[test]
+fn recovery_builds_exactly_one_snapshot() {
+    let g = generators::grid(4, 4);
+    let scheme = scheme_for(&g, 42);
+    let trace = random_trace(&g, 30, 0x0e1e);
+
+    let mut live = ChurnPipeline::with_config(&scheme, config()).unwrap();
+    for &ev in &trace[..18] {
+        live.ingest(ev).unwrap();
+    }
+    live.commit().unwrap();
+    let ckpt = live.checkpoint();
+    live.compact();
+    let bare_checkpoint = live.export_journal();
+    for &ev in &trace[18..] {
+        live.ingest(ev).unwrap();
+    }
+    live.commit().unwrap();
+
+    let genesis = ChurnPipeline::replay(&scheme, &trace, config()).unwrap();
+    assert_eq!(genesis.accepted_seq(), 30);
+    assert_single_build(&genesis);
+
+    let empty = ChurnPipeline::replay(&scheme, &[], config()).unwrap();
+    assert_eq!(empty.accepted_seq(), 0);
+    assert_single_build(&empty);
+
+    let from_ckpt = ChurnPipeline::replay_from(&scheme, &ckpt, live.journal(), config()).unwrap();
+    assert_eq!(from_ckpt.accepted_seq(), 30);
+    assert_eq!(from_ckpt.journal_base_seq(), 18);
+    assert_single_build(&from_ckpt);
+
+    for (bytes, accepted) in [(live.export_journal(), 30), (bare_checkpoint, 18)] {
+        let (recovered, _) = ChurnPipeline::recover(&scheme, &bytes, config()).unwrap();
+        assert_eq!(recovered.accepted_seq(), accepted);
+        assert_single_build(&recovered);
+        verify_converged(&recovered).unwrap();
+    }
 }
 
 /// A journal truncated at **every** byte offset recovers cleanly: the
@@ -373,6 +485,8 @@ proptest! {
                 prop_assert_eq!(recovered.fault_state(), genesis.fault_state());
                 prop_assert_eq!(recovered.accepted_seq(), genesis.accepted_seq());
                 verify_converged(&recovered).unwrap();
+                assert_snapshots_equal(&live, &recovered);
+                assert_snapshots_equal(&live, &genesis);
             }
         }
     }
