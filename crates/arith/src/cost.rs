@@ -32,10 +32,6 @@ use crate::BigInt;
 ///   cloned into the heap. The right choice for heavyweight costs
 ///   ([`crate::BigInt`]), where one avoided clone pays for all the position
 ///   bookkeeping.
-///
-/// The policy also doubles as the *clone-cost signal* for optimizations
-/// that trade clones for recomputation (the batch engine's checkpoint
-/// guard skips state snapshots for `Indexed`-policy costs on small graphs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum HeapKind {
     /// Flat lazy heap of `(cost, vertex)` entries; cheap-to-clone costs.

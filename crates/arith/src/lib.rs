@@ -21,8 +21,8 @@
 //!   decrease-key heap, with identical results either way.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
-//! workspace architecture: the crate layering, the three-level query
-//! engine (scratch -> batch/checkpoint -> pool/frontier), and the
+//! workspace architecture: the crate layering, the two-level query
+//! engine (scratch kernels -> pool/frontier), and the
 //! preserver enumeration pipeline.
 //!
 //! # Paper cross-reference

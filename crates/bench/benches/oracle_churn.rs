@@ -12,7 +12,7 @@
 //!   reports it directly, with the accept/quarantine split.
 //! * `commit_rebuild` — one pending event, one commit on a pipeline
 //!   with `delta_enabled: false`: full snapshot recompilation under
-//!   `catch_unwind`, the 4-source batch-engine cross-check, and the
+//!   `catch_unwind`, the 4-source heap-engine cross-check, and the
 //!   epoch swap. The PR 7 baseline cost per published epoch.
 //! * `commit_delta` — the same single-fault epoch on a delta-enabled
 //!   pipeline: the `DeltaBuilder` patches the published snapshot
@@ -35,7 +35,8 @@
 //!   restart.
 //! * `scrub_tick_clean` — one budgeted audit tick of the background
 //!   integrity scrubber on a clean snapshot (the steady-state overhead:
-//!   a `dijkstra_batch` over `rows_per_tick` sources, zero publishes).
+//!   one `dijkstra_into` for each of the `rows_per_tick` sources, zero
+//!   publishes).
 //!   An untimed `serve_scrub_off` / `serve_scrub_on` pair then reports
 //!   reader p50/p99 query latency with a scrubber thread hammering
 //!   audits concurrently — the contention cost of continuous scrubbing.

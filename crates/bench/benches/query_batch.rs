@@ -1,50 +1,34 @@
-//! Batched multi-fault query benchmarks: the PR 2 per-query engine (one
-//! reused `SearchScratch`, one full search per `(source, fault set)`
-//! query) versus the batch engine (`dijkstra_batch` / `bfs_batch`, which
-//! shares the settled search prefix between fault sets agreeing on the
-//! early frontier) versus the worker-pool fan-out (`dijkstra_batch_par`).
+//! Multi-fault query sweeps: `sources × (∅ + fault sets)` on tie-rich
+//! grids and a dense G(n, m) under Theorem 20 perturbed `u128` costs,
+//! plus the unweighted BFS layer — the restorability/preserver access
+//! pattern behind `Rpts::for_each_tree`.
 //!
-//! The workload mirrors the restorability/preserver access pattern: every
-//! query batch is `sources × (∅ + fault sets)` on a tie-rich grid under
-//! Theorem 20 perturbed `u128` costs, plus the unweighted BFS layer.
 //! Fault-set families cover both regimes:
 //!
-//! * **singles** spread across the edge set (`8x33` groups) — the PR 3
-//!   baseline workload, directly diffable against `BENCH_3.json`;
+//! * **singles** spread across the edge set (`8x33` groups), diffable
+//!   against `BENCH_3.json`;
 //! * **clustered `f = 2, 3` sets** (`f2`/`f3` groups) — the Bodwin–Wang
 //!   (arXiv:2309.07964) multi-fault trade-off regime: each set's edges sit
-//!   in one small neighborhood, so `prefix_len` is governed by the
-//!   cluster's distance from the source rather than by any single edge.
+//!   in one small neighborhood around a center spread across the graph.
 //!
-//! `per_query` is the per-query heap engine (`dijkstra_into` on the
-//! scheme's cost tables, the `indexed_reuse` engine of `BENCH_2.json`,
-//! not `ExactScheme::spt_into`, which runs the heap-free layered kernel);
-//! `batched` is the batch engine with checkpointed resume (the default
-//! `CheckpointMode::Auto`), `batched_nockpt` pins `CheckpointMode::Never`
-//! so the checkpoint win is its own diffable number. After the timed rows
-//! each weighted group prints its [`rsp_graph::BatchStats`] — how many
-//! queries the baseline answered outright, how many restored a checkpoint,
-//! and how many relaxations the replay path re-executed — so prefix-
-//! sharing efficacy is measured, not inferred.
+//! `per_query` is the heap engine (`dijkstra_into` on the scheme's cost
+//! tables, one reused scratch); `scheme_spt` is what every scheme sweep
+//! runs, `ExactScheme::spt_into` (the heap-free layered kernel) in the
+//! same loop. Both compute cell-identical trees. The BFS group times
+//! `bfs_into` per query.
 //!
 //! Append results to the repo's `BENCH_<n>.json` trajectory with:
 //!
 //! ```sh
-//! CRITERION_JSON_PATH="$PWD/BENCH_4.json" \
+//! CRITERION_JSON_PATH="$PWD/BENCH_<n>.json" \
 //!   cargo bench -p rsp_bench --bench query_batch
 //! ```
 
-use std::ops::ControlFlow;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use rsp_core::RandomGridAtw;
-use rsp_graph::{
-    bfs_batch, bfs_batch_par, bfs_into, dijkstra_batch, dijkstra_batch_par, dijkstra_into,
-    generators, BatchScratch, CheckpointMode, FaultSet, Graph, SearchScratch, Vertex,
-};
+use rsp_graph::{bfs_into, dijkstra_into, generators, FaultSet, Graph, SearchScratch, Vertex};
 
-/// `∅` plus `queries` single faults spread across the edge set: most are
-/// far from any given source, which is exactly the prefix-sharing regime.
+/// `∅` plus `queries` single faults spread across the edge set.
 fn fault_batch(g: &Graph, queries: usize) -> Vec<FaultSet> {
     std::iter::once(FaultSet::empty())
         .chain((0..queries).map(|i| FaultSet::single(i * g.m() / queries)))
@@ -82,110 +66,63 @@ fn clustered_fault_batch(g: &Graph, f: usize, count: usize) -> Vec<FaultSet> {
         .collect()
 }
 
-/// One weighted group: `per_query` vs `batched` (checkpoints on, Auto) vs
-/// `batched_nockpt` (checkpoints off), then a stats print for the
-/// checkpointed configuration. `parallel_workers` adds `batched_par<w>`
-/// rows (the singles family keeps them for BENCH_3 diffability).
+/// One weighted group: the heap engine per query (`per_query`) vs the
+/// scheme's layered kernel per query (`scheme_spt`).
 fn bench_weighted_family(
     c: &mut Criterion,
     label: &str,
     g: &Graph,
     sources: &[Vertex],
     faults: &[FaultSet],
-    parallel_workers: &[usize],
 ) {
     let scheme = RandomGridAtw::theorem20(g, 42).into_scheme();
 
     let mut group = c.benchmark_group(label);
-    let mut single = SearchScratch::<u128>::with_capacity(g.n());
+    let mut heap = SearchScratch::<u128>::with_capacity(g.n());
     group.bench_function("per_query", |b| {
         b.iter(|| {
             let mut reached = 0usize;
             for &s in sources {
                 for f in faults {
-                    dijkstra_into(g, s, f, scheme.directed_costs(), &mut single);
-                    reached += single.reachable_count();
+                    dijkstra_into(g, s, f, scheme.directed_costs(), &mut heap);
+                    reached += heap.reachable_count();
                 }
             }
             reached
         })
     });
-    let mut batch = BatchScratch::<u128>::with_capacity(g.n());
-    group.bench_function("batched", |b| {
+    let mut layered = SearchScratch::<u128>::with_capacity(g.n());
+    group.bench_function("scheme_spt", |b| {
         b.iter(|| {
             let mut reached = 0usize;
-            dijkstra_batch(g, sources, faults, scheme.directed_costs(), &mut batch, |_, _, r| {
-                reached += r.reachable_count();
-                ControlFlow::Continue(())
-            });
+            for &s in sources {
+                for f in faults {
+                    scheme.spt_into(s, f, &mut layered);
+                    reached += layered.reachable_count();
+                }
+            }
             reached
         })
     });
-    let mut nockpt =
-        BatchScratch::<u128>::with_capacity(g.n()).with_checkpoint_mode(CheckpointMode::Never);
-    group.bench_function("batched_nockpt", |b| {
-        b.iter(|| {
-            let mut reached = 0usize;
-            dijkstra_batch(g, sources, faults, scheme.directed_costs(), &mut nockpt, |_, _, r| {
-                reached += r.reachable_count();
-                ControlFlow::Continue(())
-            });
-            reached
-        })
-    });
-    for &workers in parallel_workers {
-        group.bench_function(format!("batched_par{workers}"), |b| {
-            b.iter(|| {
-                dijkstra_batch_par(
-                    g,
-                    sources,
-                    faults,
-                    || scheme.directed_costs(),
-                    workers,
-                    |_, _, r| r.reachable_count(),
-                )
-                .into_iter()
-                .flatten()
-                .sum::<usize>()
-            })
-        });
-    }
     group.finish();
-
-    // One clean pass per configuration so the printed stats describe a
-    // single batch, not an iteration-count multiple.
-    batch.reset_stats();
-    dijkstra_batch(g, sources, faults, scheme.directed_costs(), &mut batch, |_, _, _| {
-        ControlFlow::Continue(())
-    });
-    println!("{label}/batched stats: {}", batch.stats());
-    nockpt.reset_stats();
-    dijkstra_batch(g, sources, faults, scheme.directed_costs(), &mut nockpt, |_, _, _| {
-        ControlFlow::Continue(())
-    });
-    println!("{label}/batched_nockpt stats: {}", nockpt.stats());
 }
 
 fn bench_weighted(c: &mut Criterion) {
     let g = generators::grid(16, 16);
     let sources: Vec<Vertex> = (0..8).map(|i| i * g.n() / 8).collect();
     let faults = fault_batch(&g, 32);
-    bench_weighted_family(c, "query_batch/u128_grid16x16_8x33", &g, &sources, &faults, &[2, 4]);
+    bench_weighted_family(c, "query_batch/u128_grid16x16_8x33", &g, &sources, &faults);
 }
 
-/// The ROADMAP dense workload: `G(n, m ≈ n^1.5)`. Checkpointed resume
-/// saves `O(prefix edges)` of replay, so its payoff grows with density —
-/// degree-4 grids barely notice checkpoints, a degree-24 G(n,m) should.
-/// The checkpoint depth schedule was re-tuned on this family (see
-/// `rsp_graph::batch`'s depth constants and the README "Performance"
-/// note for the measured outcome).
+/// The dense workload: `G(n, m ≈ n^1.5)`, average degree 24, where each
+/// layered-kernel step compares many same-layer candidates.
 fn bench_weighted_dense(c: &mut Criterion) {
     // n = 144, m = 144^1.5 = 1728: average degree 24 on as many vertices
     // as the bench budget allows at sample_size 20.
     let g = generators::connected_gnm(144, 1728, 7);
     let sources: Vec<Vertex> = (0..8).map(|i| i * g.n() / 8).collect();
     let faults = fault_batch(&g, 32);
-    bench_weighted_family(c, "query_batch/u128_gnm144_1728_8x33", &g, &sources, &faults, &[]);
+    bench_weighted_family(c, "query_batch/u128_gnm144_1728_8x33", &g, &sources, &faults);
 }
 
 /// The Bodwin–Wang multi-fault regime: clustered `f = 2, 3` fault sets.
@@ -195,7 +132,7 @@ fn bench_weighted_multifault(c: &mut Criterion) {
     for f in [2usize, 3] {
         let faults = clustered_fault_batch(&g, f, 16);
         let label = format!("query_batch/u128_grid16x16_f{f}_8x17");
-        bench_weighted_family(c, &label, &g, &sources, &faults, &[]);
+        bench_weighted_family(c, &label, &g, &sources, &faults);
     }
 }
 
@@ -216,25 +153,6 @@ fn bench_bfs(c: &mut Criterion) {
                 }
             }
             reached
-        })
-    });
-    let mut batch = BatchScratch::<u32>::with_capacity(g.n());
-    group.bench_function("batched", |b| {
-        b.iter(|| {
-            let mut reached = 0usize;
-            bfs_batch(&g, &sources, &faults, &mut batch, |_, _, r| {
-                reached += r.reachable_count();
-                ControlFlow::Continue(())
-            });
-            reached
-        })
-    });
-    group.bench_function("batched_par4", |b| {
-        b.iter(|| {
-            bfs_batch_par::<u32, _, _>(&g, &sources, &faults, 4, |_, _, r| r.reachable_count())
-                .into_iter()
-                .flatten()
-                .sum::<usize>()
         })
     });
     group.finish();

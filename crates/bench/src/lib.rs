@@ -15,8 +15,8 @@
 //! by what factor, with what exponent), the benches about wall-clock.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
-//! workspace architecture: the crate layering, the three-level query
-//! engine (scratch -> batch/checkpoint -> pool/frontier), and the
+//! workspace architecture: the crate layering, the two-level query
+//! engine (scratch kernels -> pool/frontier), and the
 //! preserver enumeration pipeline.
 //!
 //! # Paper cross-reference
@@ -30,7 +30,7 @@
 //! | `benches/preserver`, `benches/lower_bound` | Theorems 26/27/31 build sizes and times |
 //! | `benches/spanner`, `benches/labeling`, `benches/congest` | Sections 4.3–4.5 constructions |
 //! | `benches/query_engine` | the scratch/decrease-key engine (`BENCH_2.json` trajectory) |
-//! | `benches/query_batch` | the batch/parallel engine (`BENCH_3.json` trajectory) |
+//! | `benches/query_batch` | multi-fault sweeps: heap engine vs the layered kernel per query (`BENCH_15.json` trajectory) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

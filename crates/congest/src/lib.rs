@@ -30,8 +30,8 @@
 //!   corresponding edge sets are built centrally by `rsp-preserver`.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
-//! workspace architecture: the crate layering, the three-level query
-//! engine (scratch -> batch/checkpoint -> pool/frontier), and the
+//! workspace architecture: the crate layering, the two-level query
+//! engine (scratch kernels -> pool/frontier), and the
 //! preserver enumeration pipeline.
 //!
 //! # Paper cross-reference

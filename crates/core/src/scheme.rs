@@ -7,17 +7,8 @@ use std::ops::ControlFlow;
 
 use rsp_arith::PathCost;
 use rsp_graph::{
-    BatchScratch, BfsTree, DirectedCosts, EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex,
-    WeightedSpt,
+    BfsTree, DirectedCosts, EdgeId, FaultSet, Graph, Path, SearchScratch, Vertex, WeightedSpt,
 };
-
-/// The scratch payload of the exact (weight-induced) schemes: one
-/// single-query scratch for the `_with` methods plus one batch scratch for
-/// [`Rpts::for_each_tree`].
-struct ExactPayload<C> {
-    single: SearchScratch<C>,
-    batch: BatchScratch<C>,
-}
 
 /// Opaque reusable search state for repeated scheme queries.
 ///
@@ -154,15 +145,11 @@ pub trait Rpts {
     /// queries are never computed (how the verifiers and restoration
     /// searches exit early).
     ///
-    /// The batched entry point behind the verifiers, restoration sweeps,
-    /// and preserver builds. The default loops over
-    /// [`Rpts::tree_from_with`]; schemes backed by the batch query engine
-    /// override it to share the settled search prefix between fault sets
-    /// that agree on the early frontier, resuming from mid-run baseline
-    /// checkpoints where the engine captured them (see
-    /// [`rsp_graph::dijkstra_batch`] and [`rsp_graph::CheckpointMode`]).
-    /// Either way the trees visited are identical to per-query
-    /// [`Rpts::tree_from`] calls.
+    /// The sweep entry point behind the verifiers, restoration sweeps,
+    /// and preserver builds. It loops over [`Rpts::tree_from_with`] with
+    /// one scratch, so the trees visited are identical to per-query
+    /// [`Rpts::tree_from`] calls; for [`ExactScheme`] every tree is one
+    /// run of the heap-free layered kernel ([`ExactScheme::spt_into`]).
     fn for_each_tree(
         &self,
         sources: &[Vertex],
@@ -321,29 +308,28 @@ impl<C: PathCost + 'static> ExactScheme<C> {
 
     /// The scheme's stored per-direction costs as a borrowing
     /// [`rsp_graph::EdgeCostSource`], ready to hand to the raw query
-    /// engine ([`rsp_graph::dijkstra_into`], [`rsp_graph::dijkstra_batch`],
-    /// [`rsp_graph::dijkstra_batch_par`]).
+    /// engines ([`rsp_graph::dijkstra_into`], [`rsp_graph::layered_into`]).
+    /// The heap engine is the independent cross-check of the layered
+    /// kernel behind [`ExactScheme::spt_into`].
     ///
     /// # Examples
     ///
     /// ```
     /// use rsp_core::{RandomGridAtw, Rpts};
-    /// use rsp_graph::{dijkstra_batch_par, generators, FaultSet};
+    /// use rsp_graph::{dijkstra_into, generators, FaultSet, SearchScratch};
     ///
     /// let g = generators::grid(3, 3);
     /// let scheme = RandomGridAtw::theorem20(&g, 1).into_scheme();
-    /// let sources: Vec<usize> = g.vertices().collect();
-    /// let faults: Vec<FaultSet> = (0..g.m()).map(FaultSet::single).collect();
-    /// // One selected tree per (source, fault) query, four workers.
-    /// let hops = dijkstra_batch_par(
-    ///     scheme.graph(),
-    ///     &sources,
-    ///     &faults,
-    ///     || scheme.directed_costs(),
-    ///     4,
-    ///     |_s, _f, result| result.hops(8),
-    /// );
-    /// assert!(hops.iter().flatten().all(|h| h.is_some()), "grid survives one fault");
+    /// let mut heap = SearchScratch::<u128>::with_capacity(g.n());
+    /// let mut layered = SearchScratch::<u128>::with_capacity(g.n());
+    /// for e in 0..g.m() {
+    ///     let faults = FaultSet::single(e);
+    ///     dijkstra_into(scheme.graph(), 0, &faults, scheme.directed_costs(), &mut heap);
+    ///     scheme.spt_into(0, &faults, &mut layered);
+    ///     for v in g.vertices() {
+    ///         assert_eq!(heap.parent(v), layered.parent(v), "same tree either way");
+    ///     }
+    /// }
     /// ```
     pub fn directed_costs(&self) -> DirectedCosts<'_, C> {
         DirectedCosts::new(&self.fwd, &self.bwd)
@@ -412,17 +398,14 @@ impl<C: PathCost + 'static> Rpts for ExactScheme<C> {
     }
 
     fn new_scratch(&self) -> RptsScratch {
-        RptsScratch::from_value(ExactPayload {
-            single: SearchScratch::<C>::with_capacity(self.graph.n()),
-            batch: BatchScratch::<C>::with_capacity(self.graph.n()),
-        })
+        RptsScratch::from_value(SearchScratch::<C>::with_capacity(self.graph.n()))
     }
 
     fn tree_from_with(&self, s: Vertex, faults: &FaultSet, scratch: &mut RptsScratch) -> BfsTree {
-        match scratch.downcast_mut::<ExactPayload<C>>() {
+        match scratch.downcast_mut::<SearchScratch<C>>() {
             Some(p) => {
-                self.spt_into(s, faults, &mut p.single);
-                p.single.to_bfs_tree()
+                self.spt_into(s, faults, p);
+                p.to_bfs_tree()
             }
             None => self.tree_from(s, faults),
         }
@@ -435,10 +418,10 @@ impl<C: PathCost + 'static> Rpts for ExactScheme<C> {
         faults: &FaultSet,
         scratch: &mut RptsScratch,
     ) -> Option<u32> {
-        match scratch.downcast_mut::<ExactPayload<C>>() {
+        match scratch.downcast_mut::<SearchScratch<C>>() {
             Some(p) => {
-                self.spt_into(s, faults, &mut p.single);
-                p.single.hops(t)
+                self.spt_into(s, faults, p);
+                p.hops(t)
             }
             None => self.dist(s, t, faults),
         }
@@ -451,41 +434,12 @@ impl<C: PathCost + 'static> Rpts for ExactScheme<C> {
         faults: &FaultSet,
         scratch: &mut RptsScratch,
     ) -> Option<Path> {
-        match scratch.downcast_mut::<ExactPayload<C>>() {
+        match scratch.downcast_mut::<SearchScratch<C>>() {
             Some(p) => {
-                self.spt_into(s, faults, &mut p.single);
-                p.single.path_to(t)
+                self.spt_into(s, faults, p);
+                p.path_to(t)
             }
             None => self.path(s, t, faults),
-        }
-    }
-
-    fn for_each_tree(
-        &self,
-        sources: &[Vertex],
-        fault_sets: &[FaultSet],
-        scratch: &mut RptsScratch,
-        visitor: &mut dyn FnMut(usize, usize, BfsTree) -> ControlFlow<()>,
-    ) {
-        match scratch.downcast_mut::<ExactPayload<C>>() {
-            Some(p) => rsp_graph::dijkstra_batch(
-                &self.graph,
-                sources,
-                fault_sets,
-                DirectedCosts::new(&self.fwd, &self.bwd),
-                &mut p.batch,
-                |si, fi, result| visitor(si, fi, result.to_bfs_tree()),
-            ),
-            None => {
-                for (si, &s) in sources.iter().enumerate() {
-                    for (fi, faults) in fault_sets.iter().enumerate() {
-                        let tree = self.tree_from_with(s, faults, scratch);
-                        if visitor(si, fi, tree).is_break() {
-                            return;
-                        }
-                    }
-                }
-            }
         }
     }
 }

@@ -118,8 +118,7 @@ pub fn count_asymmetric_pairs<S: Rpts>(scheme: &S, faults: &FaultSet) -> usize {
 }
 
 /// All selected trees `π(s, · | F)` for `s` over the whole vertex set,
-/// computed through the batched [`Rpts::for_each_tree`] engine (one shared
-/// prefix per source when the scheme supports it).
+/// computed through one [`Rpts::for_each_tree`] sweep.
 fn all_source_trees<S: Rpts>(
     scheme: &S,
     faults: &FaultSet,
@@ -138,11 +137,8 @@ fn all_source_trees<S: Rpts>(
 /// Checks that every selected path is a shortest path of `G \ F`, for each
 /// given fault set.
 ///
-/// Queries go through the batched [`Rpts::for_each_tree`] engine; trees
-/// for one source are computed for all fault sets together, sharing the
-/// settled search prefix where the fault sets allow (resuming from
-/// mid-run checkpoints when the batch engine captured them — see
-/// `rsp_graph::CheckpointMode`).
+/// Queries go through one [`Rpts::for_each_tree`] sweep over
+/// `sources × fault_sets`, reusing a single scratch.
 ///
 /// # Errors
 ///
@@ -298,7 +294,7 @@ pub fn verify_consistency_sampled<S: Rpts>(
 ///
 /// Exhaustive over pairs; the extra edge ranges over all non-path edges.
 /// Per source, the `F ∪ {e}` trees for all extra edges are computed as one
-/// [`Rpts::for_each_tree`] batch — each extra-edge tree is computed once
+/// [`Rpts::for_each_tree`] sweep — each extra-edge tree is computed once
 /// and checked against every target, rather than once per `(t, e)` pair.
 ///
 /// # Errors

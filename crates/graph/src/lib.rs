@@ -29,16 +29,11 @@
 //! * [`layered_into`] — the heap-free kernel for hop-dominant costs (the
 //!   paper's Lemma 34: tiebreaking SPTs are layered like BFS trees), a
 //!   BFS over the same scratch that selects Dijkstra's trees; the exact
-//!   schemes in `rsp_core` run every SPT through it;
-//! * [`BatchScratch`] with [`bfs_batch`] / [`dijkstra_batch`] — the batch
-//!   engine over `sources × fault_sets`: fault sets agreeing on the early
-//!   search frontier share the settled prefix of a per-source baseline
-//!   run instead of searching from scratch, resuming from mid-run
-//!   checkpoints ([`CheckpointMode`]) where available and reporting how
-//!   every query was answered through [`BatchStats`];
-//! * [`bfs_batch_par`] / [`dijkstra_batch_par`] / [`parallel_indexed`] —
-//!   worker-pool fan-out over sources (`std::thread::scope`, one scratch
-//!   per worker, deterministic index-ordered results);
+//!   schemes in `rsp_core` run every SPT through it, and the heap engine
+//!   ([`dijkstra_into`]) stays as its independent cross-check;
+//! * [`parallel_indexed`] — worker-pool fan-out over indexed jobs
+//!   (`std::thread::scope`, one scratch per worker, deterministic
+//!   index-ordered results);
 //! * [`parallel_frontier`] / [`ShardedSet`] — the work-stealing frontier
 //!   executor for jobs that *discover* further jobs (the FT-BFS fault-set
 //!   enumeration in `rsp_preserver`), with a sharded concurrent visited
@@ -61,8 +56,8 @@
 //!   against.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
-//! workspace architecture: the crate layering, the three-level query
-//! engine (scratch -> batch/checkpoint -> pool/frontier), the preserver
+//! workspace architecture: the crate layering, the two-level query
+//! engine (scratch kernels -> pool/frontier), the preserver
 //! enumeration pipeline, and the serving layer (its "Serving layer"
 //! chapter — `rsp_oracle` serves this crate's query engine behind
 //! immutable snapshots and epoch-swapped lock-free readers).
@@ -76,7 +71,7 @@
 //! | [`bfs`], [`bfs_into`] | ground-truth `dist_{G\F}`, the quantity every theorem bounds |
 //! | [`dijkstra`], [`dijkstra_into`] | unique shortest paths in the perturbed `G* \ F` (Definition 18) |
 //! | [`layered_into`] | Lemma 34: an SPT of `G*` is also a BFS tree of `G` |
-//! | [`bfs_batch`], [`dijkstra_batch`], [`parallel_indexed`] | experiment scaling: the `sources × fault_sets` query loops behind Sections 3–4 |
+//! | [`parallel_indexed`] | experiment scaling: the `sources × fault_sets` query loops behind Sections 3–4 |
 //! | [`NextHopTable`] | Section 1's MPLS routing-table deployment |
 //! | [`generators`] | Theorem 37's 4-cycle, tie-rich grids/hypercubes, G(n,m) workloads |
 //!
@@ -98,7 +93,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod batch;
 mod bfs;
 mod builder;
 mod connectivity;
@@ -119,10 +113,6 @@ mod spt;
 mod tree;
 mod weights;
 
-pub use batch::{
-    bfs_batch, bfs_batch_par, dijkstra_batch, dijkstra_batch_par, BatchScratch, BatchStats,
-    CheckpointMode,
-};
 pub use bfs::{bfs, bfs_all_pairs, BfsTree};
 pub use builder::{GraphBuilder, GraphError};
 pub use connectivity::{components, connected_pair, diameter, is_connected, is_connected_avoiding};

@@ -62,20 +62,9 @@ use crate::graph::{EdgeId, Graph, Vertex};
 use crate::path::Path;
 use crate::spt::WeightedSpt;
 
-/// Heap-position sentinel: the vertex is settled (or was never enqueued).
-///
-/// Under the inline-key policy no heap positions exist; `heap_pos` then
-/// carries only this settled/open distinction (written once per vertex at
-/// discovery and during batch prefix copies), which the batch engine's
-/// replay needs to skip fully-resolved prefix-internal edges.
-pub(crate) const SETTLED: u32 = u32::MAX;
-
-/// `heap_pos` marker for "discovered but not settled" where no real heap
-/// position exists: everywhere under the inline-key engine (positions are
-/// not tracked), and transiently in the batch engine's checkpoint restore
-/// before open vertices re-enter the indexed heap. Any value other than
-/// [`SETTLED`] works.
-pub(crate) const OPEN: u32 = 0;
+/// Heap-position sentinel of the indexed engine: the vertex is settled
+/// (or was never enqueued). The inline-key engine keeps no heap positions.
+const SETTLED: u32 = u32::MAX;
 
 /// Heap arity. Four keeps the tree shallow (fewer comparisons per
 /// decrease-key, the dominant operation) while sift-down still touches one
@@ -205,29 +194,28 @@ impl<C: PathCost> EdgeCostSource<C> for DirectedCosts<'_, C> {
 #[derive(Clone, Debug)]
 pub struct SearchScratch<C = u32> {
     /// Query generation; a per-vertex slot is valid iff `stamp[v] == epoch`.
-    pub(crate) epoch: u32,
+    epoch: u32,
     /// Vertex count of the most recent query's graph.
-    pub(crate) n: usize,
-    pub(crate) source: Vertex,
+    n: usize,
+    source: Vertex,
     /// Whether the most recent query was weighted (`dijkstra_into` or
     /// `layered_into`).
-    pub(crate) weighted: bool,
-    pub(crate) ties: bool,
-    pub(crate) stamp: Vec<u32>,
+    weighted: bool,
+    ties: bool,
+    stamp: Vec<u32>,
     /// Tentative/final exact cost per vertex (weighted queries only).
-    pub(crate) key: Vec<C>,
+    key: Vec<C>,
     /// Parent `(vertex, edge)` in stored-width `u32` ids; valid iff stamped
     /// and not the source. Half the bytes of the old `(usize, usize)`
     /// layout — parent writes are on every relaxation's hot path.
-    pub(crate) parent: Vec<(u32, u32)>,
-    pub(crate) hops: Vec<u32>,
+    parent: Vec<(u32, u32)>,
+    hops: Vec<u32>,
     /// Indexed d-ary min-heap of open vertex ids, ordered by `(key, id)`
     /// ([`HeapKind::Indexed`] policy only).
-    pub(crate) heap: Vec<u32>,
-    /// Position of each vertex in `heap`, or [`SETTLED`]. Under the
-    /// inline-key policy this degrades to a settled/open marker (see
-    /// [`SETTLED`]).
-    pub(crate) heap_pos: Vec<u32>,
+    heap: Vec<u32>,
+    /// Position of each vertex in `heap`, or [`SETTLED`]
+    /// ([`HeapKind::Indexed`] policy only).
+    heap_pos: Vec<u32>,
     /// Flat lazy min-heap of inline `(cost, vertex)` entries
     /// ([`HeapKind::InlineKey`] policy only), vertex ids stored as `u32`
     /// so a `(u32, u32)` entry is a single 8-byte word (the old
@@ -237,20 +225,20 @@ pub struct SearchScratch<C = u32> {
     /// hole-based sifts beat anything expressible under this crate's
     /// `#![forbid(unsafe_code)]` by ~40% on out-of-cache graphs (measured
     /// against a safe 4-ary heap).
-    pub(crate) lazy: BinaryHeap<Reverse<(C, u32)>>,
+    lazy: BinaryHeap<Reverse<(C, u32)>>,
     /// The heap engine serving the current query (fixed at
     /// [`SearchScratch::begin`]; see [`SearchScratch::set_heap_kind`]).
-    pub(crate) active: HeapKind,
+    active: HeapKind,
     /// Forced heap engine, overriding the automatic choice.
     heap_override: Option<HeapKind>,
     /// BFS frontier ring buffer (stored-width ids), shared by
     /// [`bfs_into`] and [`layered_into`].
-    pub(crate) queue: VecDeque<u32>,
+    queue: VecDeque<u32>,
     /// Dirty list: vertices reached by the current query, in reach order
     /// (stored-width ids).
-    pub(crate) touched: Vec<u32>,
+    touched: Vec<u32>,
     /// Relaxation buffer: the candidate cost under evaluation.
-    pub(crate) cand: C,
+    cand: C,
 }
 
 impl<C: PathCost> SearchScratch<C> {
@@ -299,7 +287,7 @@ impl<C: PathCost> SearchScratch<C> {
     /// Opens a new query generation. All previous per-vertex state becomes
     /// invisible in `O(1)` (amortized: a full clear happens only when the
     /// 32-bit epoch wraps, once per ~4 billion queries).
-    pub(crate) fn begin(&mut self, n: usize, source: Vertex, weighted: bool) {
+    fn begin(&mut self, n: usize, source: Vertex, weighted: bool) {
         assert!(n < SETTLED as usize, "graph too large for scratch heap indices");
         self.grow(n);
         if self.epoch == u32::MAX {
@@ -487,29 +475,6 @@ impl<C: PathCost> Default for SearchScratch<C> {
     }
 }
 
-/// Hooks into the search loops, called as the traversal progresses.
-///
-/// The batch engine ([`crate::batch`]) records settle order and per-step
-/// progress through this trait to decide how much of a fault-free baseline
-/// run a faulted query can reuse. The no-op [`NoObserver`] compiles away,
-/// keeping the plain [`bfs_into`] / [`dijkstra_into`] hot paths unchanged.
-pub(crate) trait SearchObserver {
-    /// A vertex left the frontier and its final distance/cost is fixed
-    /// (BFS dequeue; Dijkstra heap pop). Called *before* its edges relax.
-    #[inline]
-    fn popped(&mut self, _v: Vertex) {}
-
-    /// All edges of the popped vertex have been relaxed. `reached` is the
-    /// number of vertices discovered so far; `ties` the cumulative tie flag.
-    #[inline]
-    fn relaxed(&mut self, _reached: usize, _ties: bool) {}
-}
-
-/// The do-nothing observer behind the public single-query entry points.
-pub(crate) struct NoObserver;
-
-impl SearchObserver for NoObserver {}
-
 /// Runs BFS from `source` in `g \ faults` into `scratch`, allocation-free
 /// once the scratch is warm.
 ///
@@ -526,38 +491,15 @@ pub fn bfs_into<C: PathCost>(
     faults: &FaultSet,
     scratch: &mut SearchScratch<C>,
 ) {
-    bfs_observed(g, source, faults, scratch, &mut NoObserver);
-}
-
-/// [`bfs_into`] with an observer hook (the batch engine's entry point).
-pub(crate) fn bfs_observed<C: PathCost, O: SearchObserver>(
-    g: &Graph,
-    source: Vertex,
-    faults: &FaultSet,
-    scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-) {
     assert!(source < g.n(), "bfs source {source} out of range");
     scratch.begin(g.n(), source, false);
     scratch.stamp[source] = scratch.epoch;
     scratch.hops[source] = 0;
     scratch.touched.push(source as u32);
     scratch.queue.push_back(source as u32);
-    bfs_run(g, faults, scratch, obs);
-}
-
-/// The BFS main loop over whatever frontier `scratch.queue` currently
-/// holds; also the continuation step of a batch resume.
-pub(crate) fn bfs_run<C: PathCost, O: SearchObserver>(
-    g: &Graph,
-    faults: &FaultSet,
-    scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-) {
     let epoch = scratch.epoch;
     while let Some(u) = scratch.queue.pop_front() {
         let u = u as usize;
-        obs.popped(u);
         let du = scratch.hops[u];
         for (v, e) in g.neighbors(u) {
             if faults.contains(e) || scratch.stamp[v] == epoch {
@@ -569,7 +511,6 @@ pub(crate) fn bfs_run<C: PathCost, O: SearchObserver>(
             scratch.touched.push(v as u32);
             scratch.queue.push_back(v as u32);
         }
-        obs.relaxed(scratch.touched.len(), false);
     }
 }
 
@@ -604,34 +545,6 @@ pub fn dijkstra_into<C, F>(
     C: PathCost,
     F: EdgeCostSource<C>,
 {
-    dijkstra_observed(g, source, faults, costs, scratch, &mut NoObserver);
-}
-
-/// [`dijkstra_into`] with an observer hook (the batch engine's entry point).
-pub(crate) fn dijkstra_observed<C, F, O>(
-    g: &Graph,
-    source: Vertex,
-    faults: &FaultSet,
-    costs: F,
-    scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-) where
-    C: PathCost,
-    F: EdgeCostSource<C>,
-    O: SearchObserver,
-{
-    dijkstra_seed(g, source, scratch);
-    dijkstra_run(g, faults, costs, scratch, obs, usize::MAX);
-}
-
-/// Opens a weighted query generation and enqueues the source, leaving the
-/// scratch ready for [`dijkstra_run`]. Split out so the batch engine can
-/// interleave bounded run segments with checkpoint captures.
-pub(crate) fn dijkstra_seed<C: PathCost>(
-    g: &Graph,
-    source: Vertex,
-    scratch: &mut SearchScratch<C>,
-) {
     assert!(source < g.n(), "dijkstra source {source} out of range");
     scratch.begin(g.n(), source, true);
     scratch.stamp[source] = scratch.epoch;
@@ -640,12 +553,13 @@ pub(crate) fn dijkstra_seed<C: PathCost>(
     scratch.touched.push(source as u32);
     match scratch.active {
         HeapKind::InlineKey => {
-            scratch.heap_pos[source] = OPEN;
             scratch.lazy.push(Reverse((scratch.key[source].clone(), source as u32)));
+            dijkstra_run_inline(g, faults, costs, scratch);
         }
         HeapKind::Indexed => {
             scratch.heap_pos[source] = 0;
             scratch.heap.push(source as u32);
+            dijkstra_run_indexed(g, faults, costs, scratch);
         }
     }
 }
@@ -653,13 +567,9 @@ pub(crate) fn dijkstra_seed<C: PathCost>(
 /// Relaxes the single candidate route `u —e→ v` against `v`'s current
 /// state under the [`HeapKind::Indexed`] policy. `cand` must already hold
 /// the candidate cost `key[u] + w(e)`.
-///
-/// Shared verbatim between the main loop and the batch engine's prefix
-/// replay — the decision structure (and therefore parent selection and tie
-/// detection) must be identical in both.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn relax<C: PathCost>(
+fn relax<C: PathCost>(
     u: Vertex,
     v: Vertex,
     e: EdgeId,
@@ -719,12 +629,10 @@ pub(crate) fn relax<C: PathCost>(
 /// skipped at pop), an equal-cost route flags a tie whether `v` is open or
 /// settled, and a worse route is ignored. A strictly better route into a
 /// *settled* vertex cannot occur with non-negative costs, which is what
-/// lets this variant skip the open/settled distinction entirely — except
-/// for the one-time [`OPEN`] marker at discovery, kept so the batch
-/// engine's prefix replay can tell copied-settled vertices apart.
+/// lets this variant skip the open/settled distinction entirely.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn relax_inline<C: PathCost>(
+fn relax_inline<C: PathCost>(
     u: Vertex,
     v: Vertex,
     e: EdgeId,
@@ -735,7 +643,6 @@ pub(crate) fn relax_inline<C: PathCost>(
     parent: &mut [(u32, u32)],
     hops: &mut [u32],
     lazy: &mut BinaryHeap<Reverse<(C, u32)>>,
-    heap_pos: &mut [u32],
     touched: &mut Vec<u32>,
     ties: &mut bool,
 ) {
@@ -744,7 +651,6 @@ pub(crate) fn relax_inline<C: PathCost>(
         key[v] = cand.clone();
         parent[v] = (u as u32, e as u32);
         hops[v] = hops[u] + 1;
-        heap_pos[v] = OPEN;
         touched.push(v as u32);
         lazy.push(Reverse((cand, v as u32)));
     } else {
@@ -763,53 +669,23 @@ pub(crate) fn relax_inline<C: PathCost>(
     }
 }
 
-/// The Dijkstra main loop over whatever open set the policy-selected heap
-/// currently holds; also the continuation step of a batch resume.
-///
-/// Settles at most `limit` vertices, leaving the scratch consistent and
-/// resumable when the budget runs out (how the batch engine pauses the
-/// baseline run to capture checkpoints). Pass `usize::MAX` to drain.
-pub(crate) fn dijkstra_run<C, F, O>(
-    g: &Graph,
-    faults: &FaultSet,
-    costs: F,
-    scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-    limit: usize,
-) where
-    C: PathCost,
-    F: EdgeCostSource<C>,
-    O: SearchObserver,
-{
-    match scratch.active {
-        HeapKind::InlineKey => dijkstra_run_inline(g, faults, costs, scratch, obs, limit),
-        HeapKind::Indexed => dijkstra_run_indexed(g, faults, costs, scratch, obs, limit),
-    }
-}
-
-/// [`dijkstra_run`] under the indexed decrease-key policy.
-fn dijkstra_run_indexed<C, F, O>(
+/// The [`dijkstra_into`] main loop under the indexed decrease-key policy.
+fn dijkstra_run_indexed<C, F>(
     g: &Graph,
     faults: &FaultSet,
     mut costs: F,
     scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-    limit: usize,
 ) where
     C: PathCost,
     F: EdgeCostSource<C>,
-    O: SearchObserver,
 {
     let SearchScratch {
         epoch, stamp, key, parent, hops, heap, heap_pos, touched, cand, ties, ..
     } = scratch;
     let epoch = *epoch;
 
-    let mut budget = limit;
-    while budget > 0 && !heap.is_empty() {
+    while !heap.is_empty() {
         let u = pop_min(heap, heap_pos, key) as usize;
-        budget -= 1;
-        obs.popped(u);
         for (v, e) in g.neighbors(u) {
             if faults.contains(e) {
                 continue;
@@ -817,51 +693,36 @@ fn dijkstra_run_indexed<C, F, O>(
             costs.accumulate(&key[u], e, u, v, cand);
             relax(u, v, e, epoch, cand, stamp, key, parent, hops, heap, heap_pos, touched, ties);
         }
-        obs.relaxed(touched.len(), *ties);
     }
 }
 
-/// [`dijkstra_run`] under the inline-key lazy policy.
-fn dijkstra_run_inline<C, F, O>(
+/// The [`dijkstra_into`] main loop under the inline-key lazy policy.
+fn dijkstra_run_inline<C, F>(
     g: &Graph,
     faults: &FaultSet,
     mut costs: F,
     scratch: &mut SearchScratch<C>,
-    obs: &mut O,
-    limit: usize,
 ) where
     C: PathCost,
     F: EdgeCostSource<C>,
-    O: SearchObserver,
 {
-    let SearchScratch { epoch, stamp, key, parent, hops, lazy, heap_pos, touched, ties, .. } =
-        scratch;
+    let SearchScratch { epoch, stamp, key, parent, hops, lazy, touched, ties, .. } = scratch;
     let epoch = *epoch;
 
-    let mut budget = limit;
-    while budget > 0 {
-        let Some(Reverse((c, u))) = lazy.pop() else { break };
+    while let Some(Reverse((c, u))) = lazy.pop() {
         let u = u as usize;
         if key[u] != c {
             // Stale entry: u was re-pushed with a better key (and that
             // entry either settled u already or still precedes this one).
             continue;
         }
-        // No heap position to retire, but the settled/open marker keeps
-        // the batch engine's frontier filters policy-agnostic.
-        heap_pos[u] = SETTLED;
-        budget -= 1;
-        obs.popped(u);
         for (v, e) in g.neighbors(u) {
             if faults.contains(e) {
                 continue;
             }
             let cand = costs.compute(&c, e, u, v);
-            relax_inline(
-                u, v, e, epoch, cand, stamp, key, parent, hops, lazy, heap_pos, touched, ties,
-            );
+            relax_inline(u, v, e, epoch, cand, stamp, key, parent, hops, lazy, touched, ties);
         }
-        obs.relaxed(touched.len(), *ties);
     }
 }
 
@@ -1030,7 +891,7 @@ fn heap_less<C: Ord>(key: &[C], a: u32, b: u32) -> bool {
     }
 }
 
-pub(crate) fn sift_up<C: Ord>(heap: &mut [u32], pos: &mut [u32], key: &[C], mut i: usize) {
+fn sift_up<C: Ord>(heap: &mut [u32], pos: &mut [u32], key: &[C], mut i: usize) {
     while i > 0 {
         let p = (i - 1) / ARITY;
         if heap_less(key, heap[i], heap[p]) {

@@ -1,20 +1,16 @@
-//! CSR-core differential suite: every production engine — `bfs_into` /
-//! `dijkstra_into` under both heap policies, `dijkstra_batch` under every
-//! [`CheckpointMode`], and the worker-pool fan-out at 1/2/8 workers — must
-//! be cell-identical (costs, hop counts, parents, tie flags, reachable
+//! CSR-core differential suite: the production heap engines — `bfs_into`
+//! and `dijkstra_into` under both heap policies — must be cell-identical (costs, hop counts, parents, tie flags, reachable
 //! counts) to the pre-migration Vec-of-Vec reference engine preserved in
 //! [`rsp_graph::reference`], on every generator family the workloads use:
 //! `G(n,m)`, grids, hypercubes, preferential attachment, Watts–Strogatz,
 //! and the ISP core/edge hierarchy.
 
-use std::ops::ControlFlow;
-
 use proptest::prelude::*;
 use rsp_arith::{BigInt, PathCost};
 use rsp_graph::reference::{ref_bfs, ref_dijkstra, RefGraph, RefTree};
 use rsp_graph::{
-    bfs_batch_par, bfs_into, dijkstra_batch, dijkstra_batch_par, dijkstra_into, gen, generators,
-    BatchScratch, CheckpointMode, DirectedCosts, FaultSet, Graph, HeapKind, SearchScratch, Vertex,
+    bfs_into, dijkstra_into, gen, generators, DirectedCosts, FaultSet, Graph, HeapKind,
+    SearchScratch, Vertex,
 };
 
 /// One graph drawn from the six generator families the differential suite
@@ -149,113 +145,6 @@ proptest! {
                 if from < to { fwd[e] } else { bwd[e] }
             });
             assert_dijkstra_matches(&g, &scratch, &spec);
-        }
-    }
-
-    /// `dijkstra_batch` — every `CheckpointMode` under both heap engines —
-    /// equals the reference on every cell of the `sources × fault_sets`
-    /// plan. Near-colliding costs make tie flags part of the comparison.
-    #[test]
-    fn batch_equals_reference_under_all_modes_and_heaps(
-        g in family_graph(),
-        fault_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..6),
-        source_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..4),
-    ) {
-        let r = RefGraph::from_graph(&g);
-        let fs: Vec<FaultSet> = fault_picks
-            .iter()
-            .enumerate()
-            .map(|(i, pick)| {
-                let e = pick.index(g.m());
-                match i % 3 {
-                    0 => FaultSet::single(e),
-                    1 => FaultSet::from_edges([e, (e + g.m() / 2) % g.m()]),
-                    _ => FaultSet::empty(),
-                }
-            })
-            .collect();
-        let srcs: Vec<Vertex> = source_picks.iter().map(|p| p.index(g.n())).collect();
-        let cost = |e: usize, from: Vertex, to: Vertex| {
-            1_000u64 + (e as u64 * 17) % 3 + u64::from(from < to)
-        };
-
-        // Reference matrix, computed once and shared by all six configs.
-        let spec: Vec<Vec<RefTree<u64>>> = srcs
-            .iter()
-            .map(|&s| fs.iter().map(|f| ref_dijkstra(&r, s, f, cost)).collect())
-            .collect();
-
-        for heap in [HeapKind::InlineKey, HeapKind::Indexed] {
-            for mode in [CheckpointMode::Auto, CheckpointMode::Always, CheckpointMode::Never] {
-                let mut batch =
-                    BatchScratch::<u64>::new().with_checkpoint_mode(mode).with_heap_kind(heap);
-                dijkstra_batch(&g, &srcs, &fs, cost, &mut batch, |si, fi, result| {
-                    assert_dijkstra_matches(&g, result, &spec[si][fi]);
-                    ControlFlow::Continue(())
-                });
-                prop_assert_eq!(batch.stats().queries, srcs.len() * fs.len(), "{:?}/{:?}", heap, mode);
-            }
-        }
-    }
-
-    /// The worker-pool fan-out at 1, 2, and 8 workers equals the
-    /// reference matrix — for Dijkstra and BFS.
-    #[test]
-    fn parallel_fan_out_equals_reference(
-        g in family_graph(),
-        fault_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..5),
-        source_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..4),
-    ) {
-        let r = RefGraph::from_graph(&g);
-        let fs: Vec<FaultSet> =
-            fault_picks.iter().map(|p| FaultSet::single(p.index(g.m()))).collect();
-        let srcs: Vec<Vertex> = source_picks.iter().map(|p| p.index(g.n())).collect();
-
-        type Cells<C> = (Vec<Option<C>>, Vec<Option<(Vertex, usize)>>, bool, usize);
-        let dijkstra_spec: Vec<Vec<Cells<u64>>> = srcs
-            .iter()
-            .map(|&s| {
-                fs.iter()
-                    .map(|f| {
-                        let t = ref_dijkstra(&r, s, f, u64_cost);
-                        (t.cost.clone(), t.parent.clone(), t.ties, t.reachable_count())
-                    })
-                    .collect()
-            })
-            .collect();
-        for workers in [1usize, 2, 8] {
-            let par = dijkstra_batch_par(&g, &srcs, &fs, || u64_cost, workers, |_, _, s| {
-                (
-                    g.vertices().map(|v| s.cost(v).copied()).collect::<Vec<_>>(),
-                    g.vertices().map(|v| s.parent(v)).collect::<Vec<_>>(),
-                    s.ties_detected(),
-                    s.reachable_count(),
-                )
-            });
-            prop_assert_eq!(&par, &dijkstra_spec, "dijkstra workers={}", workers);
-        }
-
-        let bfs_spec: Vec<Vec<_>> = srcs
-            .iter()
-            .map(|&s| {
-                fs.iter()
-                    .map(|f| {
-                        let t = ref_bfs(&r, s, f);
-                        let dist: Vec<Option<u32>> =
-                            g.vertices().map(|v| t.reached(v).then_some(t.hops[v])).collect();
-                        (dist, t.parent.clone())
-                    })
-                    .collect()
-            })
-            .collect();
-        for workers in [1usize, 2, 8] {
-            let par = bfs_batch_par::<u32, _, _>(&g, &srcs, &fs, workers, |_, _, s| {
-                (
-                    g.vertices().map(|v| s.dist(v)).collect::<Vec<_>>(),
-                    g.vertices().map(|v| s.parent(v)).collect::<Vec<_>>(),
-                )
-            });
-            prop_assert_eq!(&par, &bfs_spec, "bfs workers={}", workers);
         }
     }
 }

@@ -16,8 +16,8 @@
 //! the `Õ(n^{3/2})` of Bilò et al. as the paper notes.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
-//! workspace architecture: the crate layering, the three-level query
-//! engine (scratch -> batch/checkpoint -> pool/frontier), the preserver
+//! workspace architecture: the crate layering, the two-level query
+//! engine (scratch kernels -> pool/frontier), the preserver
 //! enumeration pipeline, and the serving layer (its "Serving layer"
 //! chapter — `rsp_oracle` snapshots can carry a [`DistanceLabeling`]
 //! as a shippable artifact for off-box consumers).

@@ -13,7 +13,7 @@
 //! * **Panic-isolated publish.** Snapshot recompilation runs under
 //!   [`std::panic::catch_unwind`]; a build that panics, fails
 //!   validation, or is **rejected by the cross-check** (sampled sources
-//!   compared against [`rsp_graph::dijkstra_batch`] ground truth) never
+//!   compared against [`rsp_graph::dijkstra_into`] ground truth) never
 //!   reaches readers.
 //! * **Last-good-snapshot degraded serving.** While builds fail,
 //!   readers keep answering from the last good snapshot; staleness is
@@ -94,7 +94,6 @@
 //! ```
 
 use std::any::Any;
-use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -106,7 +105,7 @@ use rsp_graph::journal::{
     decode_journal, JournalCheckpoint, JournalDecodeError, JournalFrame, JournalTail,
 };
 use rsp_graph::{
-    dijkstra_batch, BatchScratch, FaultEvent, FaultEventError, FaultSet, FaultState, Vertex,
+    dijkstra_into, FaultEvent, FaultEventError, FaultSet, FaultState, SearchScratch, Vertex,
     WireEventError,
 };
 
@@ -130,8 +129,9 @@ pub struct ChurnConfig {
     pub backoff_base: Duration,
     /// Upper bound on any single backoff delay (default 500ms).
     pub backoff_cap: Duration,
-    /// Number of sources sampled for the batch-engine cross-check of
-    /// every built snapshot; `0` disables the gate (default 4).
+    /// Number of sources sampled for the cross-check of every built
+    /// snapshot, one heap-engine `dijkstra_into` per sampled source;
+    /// `0` disables the gate (default 4).
     pub cross_check_sources: usize,
     /// Seed for the deterministic cross-check source sample (mixed with
     /// the target sequence number, so every build checks fresh rows).
@@ -307,8 +307,9 @@ pub enum BuildFailure {
     Panicked(String),
     /// The builder rejected the configuration.
     Rejected(BuildError),
-    /// The built snapshot disagreed with the batch engine on a sampled
-    /// cell — it was discarded before publication.
+    /// The built snapshot disagreed with the heap engine
+    /// ([`rsp_graph::dijkstra_into`]) on a sampled cell — it was
+    /// discarded before publication.
     CrossCheckMismatch {
         /// The sampled source whose tree row disagreed.
         source: Vertex,
@@ -996,7 +997,7 @@ impl<C: PathCost + 'static> ChurnPipeline<C> {
     /// [`ChurnHealth::last_delta_fallback`]. Rebuild-only behavior is
     /// one config flag away and cell-for-cell equivalent.
     /// Each build attempt is **panic-isolated** and **cross-checked**
-    /// against the batch engine on sampled sources; a failed attempt
+    /// against the heap engine on sampled sources; a failed attempt
     /// leaves the last good snapshot serving, backs off exponentially
     /// ([`ChurnConfig::backoff`]), and retries. After
     /// [`ChurnConfig::retry_budget`] incremental failures the pipeline
@@ -1301,7 +1302,7 @@ fn build_and_check<C: PathCost + 'static>(
     config: &ChurnConfig,
 ) -> Result<OracleSnapshot<C>, BuildFailure> {
     // AssertUnwindSafe: the closure only reads `scheme` and constructs
-    // owned data (builder clones the scheme; the batch scratch is local
+    // owned data (builder clones the scheme; the search scratch is local
     // to the closure), so a panic at any point leaves nothing observable
     // half-mutated.
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<OracleSnapshot<C>, BuildFailure> {
@@ -1338,7 +1339,7 @@ enum DeltaAttemptError {
 }
 
 /// The panic-isolated delta-patch + cross-check step: the delta twin of
-/// [`build_and_check`], gated by the **same** sampled batch-engine
+/// [`build_and_check`], gated by the **same** sampled heap-engine
 /// cross-check, so a wrong patch can never out-publish a rebuild.
 fn delta_build_and_check<C: PathCost + 'static>(
     prev: &OracleSnapshot<C>,
@@ -1400,38 +1401,30 @@ fn cross_check_sample(n: usize, config: &ChurnConfig, version: u64) -> Vec<Verte
 }
 
 /// Compares the snapshot's precomputed rows for `samples` against a
-/// fresh `dijkstra_batch` run on the same base fault state, cell by
-/// cell (hops, parents, exact costs).
+/// fresh `dijkstra_into` run per sample on the same base fault state,
+/// cell by cell (hops, parents, exact costs). The heap engine is
+/// deliberate: it audits the layered kernel the snapshot was built with
+/// independently.
 fn cross_check<C: PathCost + 'static>(
     snapshot: &OracleSnapshot<C>,
     scheme: &ExactScheme<C>,
     samples: &[Vertex],
 ) -> Result<(), BuildFailure> {
-    if samples.is_empty() {
-        return Ok(());
-    }
     let g = scheme.graph();
-    let fault_sets = [snapshot.base_faults().clone()];
-    let mut batch = BatchScratch::<C>::new();
-    let mut mismatch = None;
-    dijkstra_batch(g, samples, &fault_sets, scheme.directed_costs(), &mut batch, |si, _fi, run| {
-        let s = samples[si];
-        let row = snapshot.baseline(s).expect("default snapshots serve every vertex");
-        for v in g.vertices() {
-            if row.dist(v) != run.hops(v)
+    let mut run = SearchScratch::<C>::new();
+    for &source in samples {
+        dijkstra_into(g, source, snapshot.base_faults(), scheme.directed_costs(), &mut run);
+        let row = snapshot.baseline(source).expect("default snapshots serve every vertex");
+        let mismatch = g.vertices().find(|&v| {
+            row.dist(v) != run.hops(v)
                 || row.parent(v) != run.parent(v)
                 || row.cost(v) != run.cost(v)
-            {
-                mismatch = Some((s, v));
-                return ControlFlow::Break(());
-            }
+        });
+        if let Some(target) = mismatch {
+            return Err(BuildFailure::CrossCheckMismatch { source, target });
         }
-        ControlFlow::Continue(())
-    });
-    match mismatch {
-        Some((source, target)) => Err(BuildFailure::CrossCheckMismatch { source, target }),
-        None => Ok(()),
     }
+    Ok(())
 }
 
 /// Best-effort extraction of a panic payload's message.

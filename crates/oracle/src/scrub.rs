@@ -11,7 +11,7 @@
 //! * **Budgeted audit.** Each [`Scrubber::tick`] re-verifies
 //!   [`ScrubConfig::rows_per_tick`] source rows of the currently
 //!   published snapshot **cell by cell** (hops, parents, exact costs)
-//!   against a fresh [`rsp_graph::dijkstra_batch`] run on the
+//!   against a fresh [`rsp_graph::dijkstra_into`] run per row on the
 //!   snapshot's own base fault state — the same ground truth the
 //!   commit gate uses, but sweeping *every* row over successive ticks
 //!   (a wrapping cursor; [`ScrubHealth::complete_passes`] counts full
@@ -72,11 +72,9 @@
 //! assert_eq!(health.corruptions_found, 0);
 //! ```
 
-use std::ops::ControlFlow;
-
 use rsp_arith::PathCost;
 use rsp_core::Rpts;
-use rsp_graph::{dijkstra_batch, BatchScratch, Vertex};
+use rsp_graph::{dijkstra_into, SearchScratch, Vertex};
 
 use crate::serve::Oracle;
 use crate::snapshot::{OracleSnapshot, TreeRow, NONE};
@@ -85,7 +83,7 @@ use crate::snapshot::{OracleSnapshot, TreeRow, NONE};
 #[derive(Clone, Copy, Debug)]
 pub struct ScrubConfig {
     /// Source rows audited per [`Scrubber::tick`] (default 4). The
-    /// audit budget — one `dijkstra_batch` run over this many sources
+    /// audit budget — one `dijkstra_into` run per audited source
     /// per tick, amortizing a full sweep over
     /// `ceil(sources / rows_per_tick)` ticks. `0` is clamped to 1.
     pub rows_per_tick: usize,
@@ -221,11 +219,11 @@ impl<C: PathCost + 'static> Scrubber<C> {
 
     /// One audit step: re-verify the next [`ScrubConfig::rows_per_tick`]
     /// rows of the published snapshot (plus any rows still quarantined
-    /// from earlier ticks) cell-by-cell against the exact batch engine,
+    /// from earlier ticks) cell-by-cell against the exact heap engine,
     /// quarantine what disagrees, and run the repair ladder. Returns
     /// what happened; cumulative counters via [`Scrubber::health`].
     ///
-    /// Cheap when clean: one `dijkstra_batch` over the audited sources,
+    /// Cheap when clean: one `dijkstra_into` per audited source,
     /// zero publishes. On corruption it publishes at most twice (the
     /// quarantine epoch, then the healed epoch).
     pub fn tick(&mut self) -> ScrubTick {
@@ -319,27 +317,25 @@ impl<C: PathCost + 'static> Scrubber<C> {
 }
 
 /// Compares each target row of `snap` cell-by-cell (hops, parents,
-/// exact costs) against a fresh batch-engine run on the snapshot's own
-/// base fault state, returning the corrupt sources **with their freshly
-/// computed truth rows** (the targeted repair's payload). Quarantine
-/// flags are ignored here — raw cells are what is audited.
+/// exact costs) against a fresh heap-engine run per row on the
+/// snapshot's own base fault state, returning the corrupt sources **with
+/// their freshly computed truth rows** (the targeted repair's payload).
+/// The heap engine audits the layered kernel the rows were built with
+/// independently. Quarantine flags are ignored here — raw cells are what
+/// is audited.
 fn audit_rows<C: PathCost + 'static>(
     snap: &OracleSnapshot<C>,
     targets: &[Vertex],
 ) -> Vec<(Vertex, TreeRow<C>)> {
-    if targets.is_empty() {
-        return Vec::new();
-    }
     let scheme = snap.scheme();
     let g = scheme.graph();
-    let fault_sets = [snap.base_faults().clone()];
-    let mut batch = BatchScratch::<C>::new();
+    let mut run = SearchScratch::<C>::new();
     let mut corrupt: Vec<(Vertex, TreeRow<C>)> = Vec::new();
-    dijkstra_batch(g, targets, &fault_sets, scheme.directed_costs(), &mut batch, |si, _fi, run| {
-        let s = targets[si];
+    for &s in targets {
         let Some(row) = snap.row_of(s).map(|r| snap.row_arc(r)) else {
-            return ControlFlow::Continue(());
+            continue;
         };
+        dijkstra_into(g, s, snap.base_faults(), scheme.directed_costs(), &mut run);
         let mismatch = g.vertices().any(|v| {
             let hops = run.hops(v);
             let parent = run.parent(v);
@@ -361,7 +357,6 @@ fn audit_rows<C: PathCost + 'static>(
             }
             corrupt.push((s, truth));
         }
-        ControlFlow::Continue(())
-    });
+    }
     corrupt
 }

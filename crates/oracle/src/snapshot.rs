@@ -686,8 +686,8 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     /// The engine path runs [`ExactScheme::spt_into`], the same layered
     /// kernel [`SnapshotBuilder::try_build`] fills the rows with, so fast
     /// and engine answers come from one SPT code path. The independent
-    /// audits — the churn cross-check and the scrubber — stay on
-    /// [`rsp_graph::dijkstra_batch`].
+    /// audits — the churn cross-check and the scrubber — stay on the
+    /// heap engine, one [`rsp_graph::dijkstra_into`] per audited source.
     ///
     /// # Examples
     ///
@@ -765,7 +765,7 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
 
     /// Fault-injection seam: deliberately corrupts one reachable
     /// non-source cell of `s`'s tree row (hop count bumped by 1), so a
-    /// downstream cross-check against the batch engine MUST reject this
+    /// downstream cross-check against the heap engine MUST reject this
     /// snapshot. Returns `false` if `s` has no row or no corruptible
     /// cell. Only the churn pipeline's injection probe calls this —
     /// it is how the test harness proves the cross-check gate works.

@@ -7,21 +7,21 @@
 //!
 //! Snapshot rows come from the layered kernel behind
 //! `ExactScheme::spt_into`; one property pins every row of a build with
-//! base faults against `dijkstra_batch`, the heap engine the churn
-//! cross-check and the scrubber audit with.
-
-use std::ops::ControlFlow;
+//! base faults against `dijkstra_into`, the heap engine the churn
+//! cross-check and the scrubber audit with. Two forced-tie tests run
+//! those audits on a uniform-cost scheme, where every equal-length route
+//! ties, and pin what they publish to the reference.
 
 use proptest::prelude::*;
-use rsp_core::RandomGridAtw;
+use rsp_core::{RandomGridAtw, Rpts};
 use rsp_graph::reference::{ref_dijkstra, RefGraph, RefTree};
-use rsp_graph::{
-    dijkstra_batch, gen, generators, BatchScratch, EdgeCostSource, FaultSet, Graph, SearchScratch,
-    Vertex,
+use rsp_graph::{dijkstra_into, gen, generators, EdgeCostSource, FaultSet, Graph, SearchScratch};
+use rsp_oracle::churn::inject::{
+    corrupt_published_row, random_trace, verify_converged, CellCorruption,
 };
-use rsp_oracle::churn::inject::{random_trace, verify_converged};
 use rsp_oracle::churn::ChurnPipeline;
-use rsp_oracle::OracleSnapshot;
+use rsp_oracle::scrub::{ScrubConfig, Scrubber};
+use rsp_oracle::{Oracle, OracleSnapshot};
 
 type Scheme = rsp_core::ExactScheme<u128>;
 
@@ -83,10 +83,10 @@ proptest! {
     }
 
     /// Every row `try_build` fills on an ISP graph with base faults baked
-    /// in equals `dijkstra_batch` on `G \ base` cell for cell: hops,
+    /// in equals `dijkstra_into` on `G \ base` cell for cell: hops,
     /// parents and exact costs, unreached vertices included.
     #[test]
-    fn try_build_rows_equal_dijkstra_batch_under_base_faults(
+    fn try_build_rows_equal_dijkstra_into_under_base_faults(
         n in 12usize..=40,
         gseed in any::<u64>(),
         wseed in any::<u64>(),
@@ -96,28 +96,17 @@ proptest! {
         let scheme = RandomGridAtw::theorem20(&g, wseed).into_scheme();
         let base = FaultSet::from_edges(base_picks.iter().map(|p| p.index(g.m())));
         let snap = OracleSnapshot::builder(&scheme).base_faults(base.clone()).try_build().unwrap();
-        let sources: Vec<Vertex> = g.vertices().collect();
-        let mut batch = BatchScratch::with_capacity(g.n());
-        let mut rows = 0;
-        dijkstra_batch(
-            &g,
-            &sources,
-            std::slice::from_ref(&base),
-            scheme.directed_costs(),
-            &mut batch,
-            |si, _, engine| {
-                let s = sources[si];
-                let row = snap.baseline(s).expect("every vertex is served");
-                for v in g.vertices() {
-                    assert_eq!(row.dist(v), engine.hops(v), "hops s{s} v{v}");
-                    assert_eq!(row.parent(v), engine.parent(v), "parent s{s} v{v}");
-                    assert_eq!(row.cost(v), engine.cost(v), "cost s{s} v{v}");
-                }
-                rows += 1;
-                ControlFlow::Continue(())
-            },
-        );
-        prop_assert_eq!(rows, g.n());
+        prop_assert_eq!(snap.sources().len(), g.n());
+        let mut engine = SearchScratch::with_capacity(g.n());
+        for s in g.vertices() {
+            dijkstra_into(&g, s, &base, scheme.directed_costs(), &mut engine);
+            let row = snap.baseline(s).expect("every vertex is served");
+            for v in g.vertices() {
+                prop_assert_eq!(row.dist(v), engine.hops(v), "hops s{} v{}", s, v);
+                prop_assert_eq!(row.parent(v), engine.parent(v), "parent s{} v{}", s, v);
+                prop_assert_eq!(row.cost(v), engine.cost(v), "cost s{} v{}", s, v);
+            }
+        }
     }
 
     /// A committed churn trace: the published snapshot's base fault state
@@ -163,5 +152,85 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Forced ties
+// ---------------------------------------------------------------------
+
+/// Every directed edge costs one unit: hop-dominant, so `from_costs`
+/// accepts the scheme, and every pair of equal-length routes ties — the
+/// opposite of a tie-free tiebreaking weight function.
+fn uniform_grid_scheme(rows: usize, cols: usize) -> Scheme {
+    let g = generators::grid(rows, cols);
+    let m = g.m();
+    Scheme::from_costs(g, vec![1000; m], vec![1000; m], 1000, 0)
+}
+
+/// Every row of `snap` equals the reference tree on the snapshot's base
+/// faults, cell for cell: hops, parents and exact costs.
+fn assert_rows_equal_reference(snap: &OracleSnapshot<u128>, scheme: &Scheme, r: &RefGraph) {
+    let g = scheme.graph();
+    for s in g.vertices() {
+        let row = snap.baseline(s).expect("every vertex is served");
+        let spec = reference_tree(scheme, r, s, snap.base_faults());
+        for v in g.vertices() {
+            assert_eq!(row.dist(v), spec.reached(v).then_some(spec.hops[v]), "dist s{s} v{v}");
+            assert_eq!(row.parent(v), spec.parent[v], "parent s{s} v{v}");
+            assert_eq!(row.cost(v), spec.cost[v].as_ref(), "cost s{s} v{v}");
+        }
+    }
+}
+
+/// Churn commits on a tie-everywhere scheme publish rows equal to the
+/// reference: the commit cross-check, a heap-engine `dijkstra_into` per
+/// sampled source, accepts them, and the delta builder reports the ties
+/// it refuses to patch through.
+#[test]
+fn forced_ties_churn_commits_equal_reference() {
+    let scheme = uniform_grid_scheme(4, 5);
+    let g = scheme.graph().clone();
+    let r = RefGraph::from_graph(&g);
+    let mut pipeline = ChurnPipeline::new(&scheme).unwrap();
+    assert_rows_equal_reference(&pipeline.published_snapshot(), &scheme, &r);
+    for ev in random_trace(&g, 12, 0x7135) {
+        if pipeline.ingest(ev).is_err() {
+            continue; // quarantined transition; nothing to commit
+        }
+        let report = pipeline.commit().unwrap();
+        assert!(report.published);
+        assert_rows_equal_reference(&pipeline.published_snapshot(), &scheme, &r);
+    }
+    let health = pipeline.health();
+    assert!(health.commits > 0);
+    assert_eq!(health.consecutive_failures, 0);
+    assert!(
+        health.last_delta_fallback.as_deref().is_some_and(|why| why.contains("cost tie")),
+        "delta reports the tie: {:?}",
+        health.last_delta_fallback
+    );
+    verify_converged(&pipeline).unwrap();
+}
+
+/// A corrupted row of a tie-everywhere scheme is caught by the scrubber
+/// (a heap-engine `dijkstra_into` per audited row) and healed to the
+/// reference tree, for every corruption kind.
+#[test]
+fn forced_ties_scrubber_heals_to_reference() {
+    let scheme = uniform_grid_scheme(4, 5);
+    let g = scheme.graph().clone();
+    let r = RefGraph::from_graph(&g);
+    for kind in [CellCorruption::Hop, CellCorruption::Parent, CellCorruption::Cost] {
+        let oracle = Oracle::build(&scheme);
+        corrupt_published_row(&oracle, 7, kind).expect("row 7 has a corruptible cell");
+        let mut scrubber = Scrubber::new(oracle.clone(), ScrubConfig { rows_per_tick: g.n() });
+        let tick = scrubber.tick();
+        assert_eq!(tick.corrupt_rows, 1, "{kind:?}: the damaged row is found");
+        assert_eq!(tick.healed_rows, 1, "{kind:?}: and healed");
+        let snap = oracle.snapshot();
+        assert!(!snap.is_quarantined(7), "{kind:?}");
+        assert_rows_equal_reference(&snap, &scheme, &r);
+        assert_eq!(scrubber.tick().corrupt_rows, 0, "{kind:?}: the healed snapshot audits clean");
     }
 }

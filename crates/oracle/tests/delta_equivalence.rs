@@ -3,8 +3,8 @@
 //! Contract under test: a delta-enabled pipeline and a rebuild-only
 //! pipeline fed the same event stream publish **cell-by-cell identical**
 //! snapshots at every epoch; the delta-built cells are pinned against
-//! `tree_from_with` and `dijkstra_batch`/`dijkstra_batch_par` (workers
-//! 1/2/8) directly; untouched rows are **Arc-pointer shared** with the
+//! `tree_from_with` (the layered kernel) and `dijkstra_into` (the heap
+//! engine) directly; untouched rows are **Arc-pointer shared** with the
 //! predecessor (so "delta" can't silently mean "rebuild"); and a flaky
 //! delta builder always heals via the full-rebuild fallback with the
 //! reason visible in `ChurnHealth`.
@@ -12,7 +12,8 @@
 use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
 use rsp_graph::{
-    dijkstra_batch_par, generators, tree_edge_child, FaultEvent, FaultSet, FaultState, Graph,
+    dijkstra_into, generators, tree_edge_child, FaultEvent, FaultSet, FaultState, Graph,
+    SearchScratch,
 };
 use rsp_oracle::churn::inject::{
     flaky_delta_builder, random_trace_with, verify_converged, TraceOptions,
@@ -66,9 +67,9 @@ fn independent_fold(g: &Graph, journal: &[FaultEvent]) -> FaultSet {
 
 /// Single-event epochs on the grid: every commit is served by the delta
 /// builder, and every published snapshot equals `tree_from_with` and
-/// `dijkstra_batch_par` at workers 1, 2, and 8 — cell for cell.
+/// `dijkstra_into` — cell for cell.
 #[test]
-fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
+fn delta_epochs_pin_against_engines() {
     let g = generators::grid(4, 4);
     let scheme = scheme_for(&g, 42);
     let mut pipeline = ChurnPipeline::with_config(&scheme, delta_config()).unwrap();
@@ -76,8 +77,8 @@ fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
 
     let trace =
         random_trace_with(&g, 12, 0xd1f5_0001, TraceOptions { burst: 0.3, ..Default::default() });
-    let sources: Vec<_> = g.vertices().collect();
     let mut rpts_scratch = scheme.new_scratch();
+    let mut heap = SearchScratch::with_capacity(g.n());
     for &ev in &trace {
         pipeline.ingest(ev).unwrap();
         let report = pipeline.commit().unwrap();
@@ -95,29 +96,16 @@ fn delta_epochs_pin_against_engines_at_workers_1_2_8() {
                 assert_eq!(row.parent(v), tree.parent(v), "tree_from_with parent s{s} v{v}");
             }
         }
-        // ...and against the parallel batch engine at several widths.
-        for workers in [1usize, 2, 8] {
-            let fault_sets = [faults.clone()];
-            let rows = dijkstra_batch_par(
-                &g,
-                &sources,
-                &fault_sets,
-                || scheme.directed_costs(),
-                workers,
-                |si, _fi, run| {
-                    let s = sources[si];
-                    let row = snapshot.baseline(s).unwrap();
-                    g.vertices().all(|v| {
-                        row.dist(v) == run.hops(v)
-                            && row.parent(v) == run.parent(v)
-                            && row.cost(v) == run.cost(v)
-                    })
-                },
-            );
-            assert!(
-                rows.iter().flatten().all(|&ok| ok),
-                "delta snapshot disagrees with dijkstra_batch_par at {workers} workers"
-            );
+        // ...and against the heap engine.
+        for s in g.vertices() {
+            dijkstra_into(&g, s, &faults, scheme.directed_costs(), &mut heap);
+            let row = snapshot.baseline(s).unwrap();
+            let ok = g.vertices().all(|v| {
+                row.dist(v) == heap.hops(v)
+                    && row.parent(v) == heap.parent(v)
+                    && row.cost(v) == heap.cost(v)
+            });
+            assert!(ok, "delta snapshot disagrees with dijkstra_into at source {s}");
         }
     }
     let health = pipeline.health();

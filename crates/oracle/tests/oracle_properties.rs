@@ -2,13 +2,12 @@
 //! produces — fast path or engine path, through a snapshot directly or
 //! through an epoch-swapped reader — must be byte-identical to the raw
 //! engines: `ExactScheme::spt_into` / `Rpts::tree_from_with` per query,
-//! and `dijkstra_batch` over the full `sources × fault_sets` plan.
-
-use std::ops::ControlFlow;
+//! and the heap engine `dijkstra_into` over the full `sources ×
+//! fault_sets` plan.
 
 use proptest::prelude::*;
 use rsp_core::{ExactScheme, RandomGridAtw, Rpts};
-use rsp_graph::{dijkstra_batch, generators, BatchScratch, FaultSet, Graph, SearchScratch, Vertex};
+use rsp_graph::{dijkstra_into, generators, FaultSet, Graph, SearchScratch, Vertex};
 use rsp_oracle::{Oracle, OracleSnapshot, TreeView};
 
 fn gnm_params() -> impl Strategy<Value = (usize, usize, u64, u64)> {
@@ -95,11 +94,11 @@ proptest! {
         }
     }
 
-    /// The full `sources × fault_sets` plan through `dijkstra_batch`
-    /// matches the oracle cell by cell — the acceptance criterion's
-    /// batch-engine pin.
+    /// The full `sources × fault_sets` plan through the heap engine
+    /// (`dijkstra_into`, independent of the layered kernel the snapshot
+    /// is built with) matches the oracle cell by cell.
     #[test]
-    fn snapshot_query_equals_dijkstra_batch(
+    fn snapshot_query_equals_dijkstra_into(
         (n, m, gseed, wseed) in gnm_params(),
         fault_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..5),
         source_picks in prop::collection::vec(any::<prop::sample::Index>(), 1..3),
@@ -114,12 +113,14 @@ proptest! {
         let srcs: Vec<Vertex> = source_picks.iter().map(|p| p.index(g.n())).collect();
 
         let mut scratch = SearchScratch::with_capacity(g.n());
-        let mut batch = BatchScratch::<u128>::new();
-        dijkstra_batch(&g, &srcs, &fs, scheme.directed_costs(), &mut batch, |si, fi, result| {
-            let got = view_data(&g, &snap.query(srcs[si], &fs[fi], &mut scratch));
-            assert_eq!(got, engine_data(&g, result), "s{si} f{fi}");
-            ControlFlow::Continue(())
-        });
+        let mut heap = SearchScratch::<u128>::new();
+        for (si, &s) in srcs.iter().enumerate() {
+            for (fi, faults) in fs.iter().enumerate() {
+                dijkstra_into(&g, s, faults, scheme.directed_costs(), &mut heap);
+                let got = view_data(&g, &snap.query(s, faults, &mut scratch));
+                prop_assert_eq!(got, engine_data(&g, &heap), "s{} f{}", si, fi);
+            }
+        }
     }
 
     /// Faults off the canonical tree take the zero-traversal fast path;

@@ -26,7 +26,7 @@ use rsp_oracle::{Oracle, OracleSnapshot};
 const UNIT: u128 = 1 << 40;
 
 /// Base per-direction exact costs: distinct per edge and direction, the
-/// same construction the batch-engine property tests use.
+/// same construction the CSR differential suite uses.
 fn base_costs(g: &Graph) -> (Vec<u128>, Vec<u128>) {
     let fwd: Vec<u128> = (0..g.m()).map(|e| UNIT + (e as u128 * 7919) % 1024).collect();
     let bwd: Vec<u128> = fwd.iter().map(|f| 2 * UNIT - f).collect();

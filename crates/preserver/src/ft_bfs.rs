@@ -80,10 +80,8 @@ impl Preserver {
 /// For each `(s, F)` pair the full selected tree is overlaid (every tree
 /// edge lies on `π(s, v | F)` for some `v`, and conversely).
 ///
-/// Queries are grouped by source and issued through the batched
-/// [`Rpts::for_each_tree`] engine, so fault sets sharing a source also
-/// share the settled search prefix — resumed from mid-run checkpoints
-/// where the batch engine captured them (the overlay is a set union —
+/// Queries are grouped by source and issued as one [`Rpts::for_each_tree`]
+/// sweep per source, reusing one scratch (the overlay is a set union —
 /// query order cannot affect the result).
 pub fn overlay_paths<S: Rpts>(
     scheme: &S,

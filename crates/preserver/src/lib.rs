@@ -26,8 +26,8 @@
 //!   bound on the same graph.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
-//! workspace architecture: the crate layering, the three-level query
-//! engine (scratch -> batch/checkpoint -> pool/frontier), the preserver
+//! workspace architecture: the crate layering, the two-level query
+//! engine (scratch kernels -> pool/frontier), the preserver
 //! enumeration pipeline, and the serving layer (its "Serving layer"
 //! chapter — `rsp_oracle` snapshots can carry a [`Preserver`] edge set
 //! as a shippable artifact alongside the compiled trees).

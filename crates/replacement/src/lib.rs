@@ -20,8 +20,8 @@
 //!   algorithm run on the full graph per pair).
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the guide-level
-//! workspace architecture: the crate layering, the three-level query
-//! engine (scratch -> batch/checkpoint -> pool/frontier), and the
+//! workspace architecture: the crate layering, the two-level query
+//! engine (scratch kernels -> pool/frontier), and the
 //! preserver enumeration pipeline.
 //!
 //! # Paper cross-reference

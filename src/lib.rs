@@ -7,9 +7,10 @@
 //! * [`arith`] — exact arithmetic ([`arith::BigInt`], path costs);
 //! * [`graph`] — CSR graphs, BFS, exact-weight Dijkstra, fault sets,
 //!   routing tables, generators, and the query engine: reusable
-//!   [`graph::SearchScratch`] state, batched `sources × fault_sets`
-//!   queries with shared search prefixes ([`graph::dijkstra_batch`]), and
-//!   worker-pool fan-out ([`graph::dijkstra_batch_par`]);
+//!   [`graph::SearchScratch`] state, the heap-free layered kernel
+//!   ([`graph::layered_into`]) every scheme SPT runs, the heap engine
+//!   ([`graph::dijkstra_into`]) that audits it, and worker-pool fan-out
+//!   ([`graph::parallel_indexed`]);
 //! * [`core`] — **the paper's contribution**: antisymmetric tiebreaking
 //!   weight functions (Theorems 20, 23, Corollary 22), the induced
 //!   consistent/stable/restorable schemes (Theorem 19), restoration by
@@ -36,8 +37,8 @@
 //! table** mapping its modules to the theorems, definitions, and sections
 //! of PAPER.md; `docs/ARCHITECTURE.md` at the repository root is the
 //! canonical guide-level architecture — the crate layering, the
-//! three-level query engine (scratch -> batch/checkpoint ->
-//! pool/frontier), the preserver enumeration pipeline, and the serving
+//! two-level query engine (scratch kernels -> pool/frontier), the
+//! preserver enumeration pipeline, and the serving
 //! layer's control/data-plane split — which README.md's "Architecture"
 //! section summarizes.
 //!
