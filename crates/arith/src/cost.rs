@@ -100,6 +100,60 @@ pub trait PathCost: Clone + Ord + std::fmt::Debug {
     fn set_zero(&mut self) {
         *self = Self::zero();
     }
+
+    /// The floor quotient `⌊self / divisor⌋`, saturating at `u32::MAX`.
+    ///
+    /// This is how hop counts are read off exact path costs: under hop
+    /// dominance a path of `h` hops costs in `[h·min, (h+1)·min)`, so
+    /// `cost.floor_div(min)` is `h`. The default is
+    /// [`floor_div_by_doubling`], built on `plus` and `Ord` alone; the
+    /// native integers override it with `/`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `divisor` is not greater than [`PathCost::zero`].
+    fn floor_div(&self, divisor: &Self) -> u32 {
+        floor_div_by_doubling(self, divisor)
+    }
+}
+
+/// `⌊a / d⌋` saturating at `u32::MAX`, by doubling search over
+/// [`PathCost::plus`]: collect `d·2^k` while it stays `≤ a`, then take
+/// the powers greedily from the top. `O(log(a/d))` additions, no
+/// division, so it serves any [`PathCost`] (the default of
+/// [`PathCost::floor_div`]).
+///
+/// # Panics
+///
+/// Panics if `d` is not greater than zero, or (native integers only) if
+/// a doubling step overflows, which needs `a` above half the type's range.
+pub fn floor_div_by_doubling<C: PathCost>(a: &C, d: &C) -> u32 {
+    assert!(*d > C::zero(), "floor_div by a non-positive divisor");
+    if *d > *a {
+        return 0;
+    }
+    let mut powers = vec![d.clone()];
+    loop {
+        let top = powers.last().expect("starts non-empty");
+        let next = top.plus(top);
+        if next > *a {
+            break;
+        }
+        if powers.len() == 32 {
+            return u32::MAX; // d·2^32 ≤ a
+        }
+        powers.push(next);
+    }
+    let mut q = 0u32;
+    let mut acc = C::zero();
+    for (k, p) in powers.iter().enumerate().rev() {
+        let next = acc.plus(p);
+        if next <= *a {
+            acc = next;
+            q |= 1 << k;
+        }
+    }
+    q
 }
 
 impl PathCost for u64 {
@@ -111,6 +165,11 @@ impl PathCost for u64 {
 
     fn plus(&self, edge: &Self) -> Self {
         self.checked_add(*edge).expect("u64 path cost overflow")
+    }
+
+    fn floor_div(&self, divisor: &Self) -> u32 {
+        assert!(*divisor > 0, "floor_div by a non-positive divisor");
+        u32::try_from(self / divisor).unwrap_or(u32::MAX)
     }
 }
 
@@ -124,6 +183,11 @@ impl PathCost for u128 {
     fn plus(&self, edge: &Self) -> Self {
         self.checked_add(*edge).expect("u128 path cost overflow")
     }
+
+    fn floor_div(&self, divisor: &Self) -> u32 {
+        assert!(*divisor > 0, "floor_div by a non-positive divisor");
+        u32::try_from(self / divisor).unwrap_or(u32::MAX)
+    }
 }
 
 impl PathCost for u32 {
@@ -135,6 +199,11 @@ impl PathCost for u32 {
 
     fn plus(&self, edge: &Self) -> Self {
         self.checked_add(*edge).expect("u32 path cost overflow")
+    }
+
+    fn floor_div(&self, divisor: &Self) -> u32 {
+        assert!(*divisor > 0, "floor_div by a non-positive divisor");
+        self / divisor
     }
 }
 
@@ -213,6 +282,40 @@ mod tests {
         let mut y = 42u64;
         y.set_zero();
         assert_eq!(y, 0);
+    }
+
+    #[test]
+    fn native_and_doubling_floor_quotients_agree() {
+        let divisors = [1u64, 2, 3, 7, 1000, 65_537, 1 << 40];
+        let numerators = [0u64, 1, 2, 6, 7, 999, 1000, 1001, 123_456_789, (1 << 41) + 5];
+        for &d in &divisors {
+            for &a in &numerators {
+                let want = u32::try_from(a / d).unwrap_or(u32::MAX);
+                assert_eq!(a.floor_div(&d), want, "u64 {a}/{d}");
+                assert_eq!(floor_div_by_doubling(&a, &d), want, "u64 doubling {a}/{d}");
+                let (a128, d128) = (u128::from(a) << 20, u128::from(d) << 20);
+                assert_eq!(a128.floor_div(&d128), want, "u128 {a}/{d}");
+                assert_eq!(floor_div_by_doubling(&a128, &d128), want);
+                let (ab, db) = (BigInt::from_u128(a128) << 70, BigInt::from_u128(d128) << 70);
+                assert_eq!(ab.floor_div(&db), want, "BigInt {a}/{d}");
+                if let (Ok(a32), Ok(d32)) = (u32::try_from(a), u32::try_from(d)) {
+                    assert_eq!(a32.floor_div(&d32), want, "u32 {a}/{d}");
+                    assert_eq!(floor_div_by_doubling(&a32, &d32), want);
+                }
+            }
+        }
+        // Quotients past u32::MAX saturate on both routes.
+        assert_eq!((1u64 << 40).floor_div(&1), u32::MAX);
+        assert_eq!(floor_div_by_doubling(&(1u64 << 40), &1), u32::MAX);
+        assert_eq!(floor_div_by_doubling(&(u64::from(u32::MAX) - 1), &1), u32::MAX - 1);
+        assert_eq!(BigInt::pow2(200).floor_div(&BigInt::pow2(100)), u32::MAX);
+        assert_eq!(BigInt::pow2(131).floor_div(&BigInt::pow2(100)), 1 << 31);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-positive divisor")]
+    fn floor_div_by_zero_panics() {
+        let _ = BigInt::one().floor_div(&BigInt::zero());
     }
 
     #[test]

@@ -53,4 +53,4 @@ mod bigint;
 mod cost;
 
 pub use bigint::BigInt;
-pub use cost::{HeapKind, PathCost};
+pub use cost::{floor_div_by_doubling, HeapKind, PathCost};

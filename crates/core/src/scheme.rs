@@ -187,6 +187,9 @@ pub struct ExactScheme<C> {
     bwd: Vec<C>,
     unit: C,
     bits_per_weight: usize,
+    /// The minimum directed edge cost (`None` on an edgeless graph):
+    /// the divisor [`ExactScheme::hops_of`] reads hop counts with.
+    min_cost: Option<C>,
 }
 
 impl<C: PathCost + 'static> ExactScheme<C> {
@@ -218,12 +221,47 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     ) -> Self {
         assert_eq!(fwd.len(), graph.m(), "one forward cost per edge");
         assert_eq!(bwd.len(), graph.m(), "one backward cost per edge");
+        let range = cost_range(&fwd, &bwd);
         assert!(
-            is_hop_dominant(graph.n(), &fwd, &bwd),
+            range.is_none_or(|(min, max)| is_hop_dominant(graph.n(), min, max)),
             "costs are not hop-dominant (n·min > (n−1)·max fails): \
              a cheaper path could take more hops than a shortest one"
         );
-        ExactScheme { graph, fwd, bwd, unit, bits_per_weight }
+        let min_cost = range.map(|(min, _)| min.clone());
+        ExactScheme { graph, fwd, bwd, unit, bits_per_weight, min_cost }
+    }
+
+    /// The hop count of a simple path of exact cost `cost`:
+    /// `⌊cost / min⌋` over the minimum directed edge cost, `0` on an
+    /// edgeless graph.
+    ///
+    /// Exact because of hop dominance: a path of `h ≤ n−1` hops costs
+    /// between `h·min` and `h·max`, and `h·max < (h+1)·min` follows
+    /// from `n·min > (n−1)·max`. So a tree cell's cost determines its
+    /// hop count, and snapshot rows store only the cost.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rsp_core::RandomGridAtw;
+    /// use rsp_graph::{generators, FaultSet};
+    ///
+    /// let g = generators::grid(4, 4);
+    /// let scheme = RandomGridAtw::theorem20(&g, 42).into_scheme();
+    /// let spt = scheme.spt(0, &FaultSet::empty());
+    /// for v in g.vertices() {
+    ///     assert_eq!(Some(scheme.hops_of(spt.cost(v).unwrap())), spt.hops(v));
+    /// }
+    /// ```
+    pub fn hops_of(&self, cost: &C) -> u32 {
+        self.min_cost.as_ref().map_or(0, |min| cost.floor_div(min))
+    }
+
+    /// The minimum directed edge cost, `None` on an edgeless graph. A
+    /// cost shifted up by it reads exactly one hop more through
+    /// [`ExactScheme::hops_of`].
+    pub fn min_cost(&self) -> Option<&C> {
+        self.min_cost.as_ref()
     }
 
     /// The exact cost of traversing edge `e` from `from` to its other
@@ -357,16 +395,16 @@ impl<C: PathCost + 'static> ExactScheme<C> {
     }
 }
 
-/// `true` iff `n·min > (n−1)·max` over every directed cost in `fwd` and
-/// `bwd` (vacuously for an edgeless graph).
-fn is_hop_dominant<C: PathCost>(n: usize, fwd: &[C], bwd: &[C]) -> bool {
+/// The `(min, max)` over every directed cost in `fwd` and `bwd`, `None`
+/// for an edgeless graph.
+fn cost_range<'a, C: PathCost>(fwd: &'a [C], bwd: &'a [C]) -> Option<(&'a C, &'a C)> {
     let mut costs = fwd.iter().chain(bwd);
-    let Some(first) = costs.next() else { return true };
-    let (mut min, mut max) = (first, first);
-    for c in costs {
-        min = min.min(c);
-        max = max.max(c);
-    }
+    let first = costs.next()?;
+    Some(costs.fold((first, first), |(min, max), c| (min.min(c), max.max(c))))
+}
+
+/// `true` iff `n·min > (n−1)·max`.
+fn is_hop_dominant<C: PathCost>(n: usize, min: &C, max: &C) -> bool {
     times(min, n) > times(max, n - 1)
 }
 
@@ -487,11 +525,46 @@ mod tests {
     fn hop_dominance_is_strict_at_the_boundary() {
         // n = 3: `3·min > 2·max` holds for costs in [10, 14]; at [10, 15]
         // both sides are 30 and the strict check fails.
-        assert!(is_hop_dominant(3, &[10u64, 14, 14], &[14, 10, 12]));
-        assert!(!is_hop_dominant(3, &[10u64, 15, 10], &[10, 10, 10]));
-        assert!(is_hop_dominant::<u64>(1, &[], &[]), "edgeless graphs pass vacuously");
+        assert_eq!(cost_range(&[10u64, 14, 14], &[14, 10, 12]), Some((&10, &14)));
+        assert!(is_hop_dominant(3, &10u64, &14));
+        assert_eq!(cost_range(&[10u64, 15, 10], &[10, 10, 10]), Some((&10, &15)));
+        assert!(!is_hop_dominant(3, &10u64, &15));
+        assert_eq!(cost_range::<u64>(&[], &[]), None, "edgeless graphs pass vacuously");
         assert_eq!(times(&7u128, 0), 0);
         assert_eq!(times(&7u128, 13), 91);
+    }
+
+    #[test]
+    fn hops_of_is_exact_at_the_hop_dominance_edge() {
+        // Path graph on n vertices, every edge n + 1 forward and n
+        // backward: n·min = n² = (n−1)·max + 1, the tightest costs
+        // `from_costs` accepts. Both the all-max and the all-min h-hop
+        // paths must read back exactly h.
+        for n in [2usize, 3, 10, 64] {
+            let (min, max) = (n as u64, n as u64 + 1);
+            let g = generators::path_graph(n);
+            let scheme = ExactScheme::from_costs(g, vec![max; n - 1], vec![min; n - 1], min, 1);
+            assert_eq!(scheme.min_cost(), Some(&min));
+            for h in 0..n as u64 {
+                assert_eq!(scheme.hops_of(&(h * max)), h as u32, "n = {n}, {h} max hops");
+                assert_eq!(scheme.hops_of(&(h * min)), h as u32, "n = {n}, {h} min hops");
+            }
+            for s in [0, n - 1] {
+                let spt = scheme.spt(s, &FaultSet::empty());
+                for v in scheme.graph().vertices() {
+                    assert_eq!(Some(scheme.hops_of(spt.cost(v).unwrap())), spt.hops(v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hops_of_is_zero_on_an_edgeless_graph() {
+        let g = Graph::from_edges(3, []).unwrap();
+        let scheme = ExactScheme::<u128>::from_costs(g, vec![], vec![], 1, 1);
+        assert_eq!(scheme.min_cost(), None);
+        assert_eq!(scheme.hops_of(&0), 0);
+        assert_eq!(scheme.hops_of(&12_345), 0);
     }
 
     #[test]

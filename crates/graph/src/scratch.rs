@@ -214,7 +214,9 @@ pub struct SearchScratch<C = u32> {
     /// ([`HeapKind::Indexed`] policy only).
     heap: Vec<u32>,
     /// Position of each vertex in `heap`, or [`SETTLED`]
-    /// ([`HeapKind::Indexed`] policy only).
+    /// ([`HeapKind::Indexed`] policy only: sized by
+    /// [`SearchScratch::begin`] only for queries that run that engine, so
+    /// inline-key scratches never carry it).
     heap_pos: Vec<u32>,
     /// Flat lazy min-heap of inline `(cost, vertex)` entries
     /// ([`HeapKind::InlineKey`] policy only), vertex ids stored as `u32`
@@ -280,7 +282,6 @@ impl<C: PathCost> SearchScratch<C> {
             self.key.resize_with(n, C::zero);
             self.parent.resize(n, (0, 0));
             self.hops.resize(n, 0);
-            self.heap_pos.resize(n, SETTLED);
         }
     }
 
@@ -307,6 +308,9 @@ impl<C: PathCost> SearchScratch<C> {
         // Fix the heap engine for this query: the cost type's policy,
         // unless explicitly overridden.
         self.active = self.heap_override.unwrap_or(C::HEAP);
+        if self.active == HeapKind::Indexed && self.heap_pos.len() < n {
+            self.heap_pos.resize(n, SETTLED);
+        }
     }
 
     /// Forces the heap engine for subsequent queries, or restores the
@@ -1141,6 +1145,14 @@ mod tests {
                 assert_eq!(inline.reachable_count(), indexed.reachable_count());
             }
         }
+        assert!(inline.heap_pos.is_empty() && indexed.heap_pos.len() == g.n());
+
+        // Only the indexed heap reads heap positions: a u128 scratch on
+        // the inline policy never sizes them, on either weighted engine.
+        let mut lean = SearchScratch::<u128>::with_capacity(g.n());
+        layered_into(&g, 0, &FaultSet::empty(), |_, _, _| 7u128, &mut lean);
+        dijkstra_into(&g, 0, &FaultSet::empty(), |_, _, _| 7u128, &mut lean);
+        assert!(lean.heap_pos.is_empty(), "u128 scratch carries no heap_pos");
     }
 
     #[test]

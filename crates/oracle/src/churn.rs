@@ -1402,7 +1402,7 @@ fn cross_check_sample(n: usize, config: &ChurnConfig, version: u64) -> Vec<Verte
 
 /// Compares the snapshot's precomputed rows for `samples` against a
 /// fresh `dijkstra_into` run per sample on the same base fault state,
-/// cell by cell (hops, parents, exact costs). The heap engine is
+/// cell by cell (derived hop counts, parents, exact costs). The heap engine is
 /// deliberate: it audits the layered kernel the snapshot was built with
 /// independently.
 fn cross_check<C: PathCost + 'static>(

@@ -86,7 +86,7 @@ use rsp_graph::{
     tree_edge_child, DirectedCosts, EdgeCostSource, EdgeId, FaultSet, Graph, SubtreeScratch, Vertex,
 };
 
-use crate::snapshot::{BuildError, OracleSnapshot, TreeRow, NONE};
+use crate::snapshot::{BuildError, OracleSnapshot, TreeRow};
 
 /// Why a delta build refused a configuration it could not patch
 /// *exactly*. Structural refusals — the churn pipeline answers them by
@@ -170,7 +170,7 @@ pub struct DeltaStats {
     /// untouched by every step.
     pub rows_shared: usize,
     /// Cells adopted across all localized waves (each adoption writes
-    /// one `(parent, hop, cost)` cell; the full rebuild writes
+    /// one `(parent edge, cost)` cell; the full rebuild writes
     /// `sources × n` of them).
     pub cells_recomputed: usize,
 }
@@ -341,7 +341,7 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
                 // Seed only from *outside* the cut: intra-subtree edges
                 // are the wave's job, and relaxing one here would replay
                 // the identical candidate later — a spurious "tie".
-                if cur.contains(e2) || self.subtree.contains(x) || row.hops[x] == NONE {
+                if cur.contains(e2) || self.subtree.contains(x) || !row.reached(x) {
                     continue;
                 }
                 if let Err(u) = self.relax(row, x, e2, w) {
@@ -375,8 +375,8 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
         // exact cost tie is a refusal, not a guess.
         let improved = {
             let r = &**snap.row_arc(row_idx);
-            let u_reached = r.hops[u] != NONE;
-            let v_reached = r.hops[v] != NONE;
+            let u_reached = r.reached(u);
+            let v_reached = r.reached(v);
             let mut improved = None;
             if u_reached {
                 self.costs.accumulate(&r.costs[u], e, u, v, &mut self.cand);
@@ -429,7 +429,7 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
         to: Vertex,
     ) -> Result<(), DeltaUnsupported> {
         self.costs.accumulate(&row.costs[from], e, from, to, &mut self.cand);
-        if row.hops[to] != NONE {
+        if row.reached(to) {
             match self.cand.cmp(&row.costs[to]) {
                 Ordering::Greater => return Ok(()),
                 Ordering::Equal => {
@@ -440,7 +440,6 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
         }
         row.costs[to].clone_from(&self.cand);
         row.parent_edge[to] = e as u32;
-        row.hops[to] = row.hops[from] + 1;
         self.stats.cells_recomputed += 1;
         self.heap.push(Reverse((row.costs[to].clone(), to)));
         Ok(())
@@ -453,7 +452,7 @@ impl<'g, C: PathCost + 'static> Patcher<'g, C> {
     fn wave(&mut self, row: &mut TreeRow<C>, cur: &FaultSet) -> Result<(), DeltaUnsupported> {
         let g = self.g;
         while let Some(Reverse((c, w))) = self.heap.pop() {
-            if row.hops[w] == NONE || c != row.costs[w] {
+            if !row.reached(w) || c != row.costs[w] {
                 continue;
             }
             for (x, e2) in g.neighbors(w) {

@@ -65,7 +65,7 @@ use rsp_graph::{FaultEvent, FaultState, Graph, SearchScratch, Vertex};
 
 use super::{BuildFault, BuildProbe, ChurnPipeline};
 use crate::serve::Oracle;
-use crate::snapshot::NONE;
+use crate::snapshot::ROOT;
 
 /// Generates a *valid* random churn trace of `len` events: every event
 /// passes validation when the trace is applied in order from a
@@ -330,9 +330,9 @@ pub fn flaky_delta_builder(panics: u32, corrupts: u32) -> BuildProbe {
 }
 
 /// Asserts the pipeline's *published* snapshot agrees cell-for-cell
-/// (hops, parents, exact costs, every source × every vertex) with a
-/// fresh engine run on the snapshot's own base fault state. Returns the
-/// first disagreeing `(source, vertex)` on failure.
+/// (derived hop counts, parents, exact costs, every source × every
+/// vertex) with a fresh engine run on the snapshot's own base fault
+/// state. Returns the first disagreeing `(source, vertex)` on failure.
 ///
 /// This is the harness's end-of-experiment gate: after any injection
 /// schedule, a converged pipeline must serve answers indistinguishable
@@ -411,9 +411,11 @@ pub fn truncate_random(bytes: &mut Vec<u8>, seed: u64) -> usize {
 /// Which cell of a published tree row [`corrupt_published_row`] flips.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellCorruption {
-    /// Bump a reachable non-source vertex's hop count by one.
+    /// Shift a reachable non-source vertex's cost up by one minimum
+    /// edge cost, so its derived hop count reads exactly one higher.
     Hop,
-    /// Erase a reachable non-source vertex's parent pointer.
+    /// Erase a reachable non-source vertex's parent pointer: the cell
+    /// stays reached but claims to be a root.
     Parent,
     /// Zero a reachable non-source vertex's exact path cost.
     Cost,
@@ -436,13 +438,12 @@ pub fn corrupt_published_row<C: PathCost + 'static>(
 ) -> Option<Vertex> {
     let snap = oracle.snapshot();
     let row_idx = snap.row_of(s)?;
-    let n = snap.graph().n();
+    let victim = snap.row_arc(row_idx).injection_victim(s)?;
     let mut corrupted = (*snap).clone();
     let row = Arc::make_mut(corrupted.row_arc_mut(row_idx));
-    let victim = (0..n).find(|&v| v != s && row.hops[v] != NONE)?;
     match kind {
-        CellCorruption::Hop => row.hops[victim] += 1,
-        CellCorruption::Parent => row.parent_edge[victim] = NONE,
+        CellCorruption::Hop => row.bump_hops(snap.scheme(), victim),
+        CellCorruption::Parent => row.parent_edge[victim] = ROOT,
         CellCorruption::Cost => row.costs[victim].set_zero(),
     }
     oracle.publish(corrupted);

@@ -10,9 +10,9 @@
 //!
 //! * **Budgeted audit.** Each [`Scrubber::tick`] re-verifies
 //!   [`ScrubConfig::rows_per_tick`] source rows of the currently
-//!   published snapshot **cell by cell** (hops, parents, exact costs)
-//!   against a fresh [`rsp_graph::dijkstra_into`] run per row on the
-//!   snapshot's own base fault state — the same ground truth the
+//!   published snapshot **cell by cell** (derived hop counts, parents,
+//!   exact costs) against a fresh [`rsp_graph::dijkstra_into`] run per
+//!   row on the snapshot's own base fault state — the same ground truth the
 //!   commit gate uses, but sweeping *every* row over successive ticks
 //!   (a wrapping cursor; [`ScrubHealth::complete_passes`] counts full
 //!   sweeps).
@@ -77,7 +77,7 @@ use rsp_core::Rpts;
 use rsp_graph::{dijkstra_into, SearchScratch, Vertex};
 
 use crate::serve::Oracle;
-use crate::snapshot::{OracleSnapshot, TreeRow, NONE};
+use crate::snapshot::{OracleSnapshot, TreeRow};
 
 /// Tuning knobs for a [`Scrubber`].
 #[derive(Clone, Copy, Debug)]
@@ -316,8 +316,8 @@ impl<C: PathCost + 'static> Scrubber<C> {
     }
 }
 
-/// Compares each target row of `snap` cell-by-cell (hops, parents,
-/// exact costs) against a fresh heap-engine run per row on the
+/// Compares each target row of `snap` cell-by-cell (derived hop counts,
+/// parents, exact costs) against a fresh heap-engine run per row on the
 /// snapshot's own base fault state, returning the corrupt sources **with
 /// their freshly computed truth rows** (the targeted repair's payload).
 /// The heap engine audits the layered kernel the rows were built with
@@ -337,25 +337,12 @@ fn audit_rows<C: PathCost + 'static>(
         };
         dijkstra_into(g, s, snap.base_faults(), scheme.directed_costs(), &mut run);
         let mismatch = g.vertices().any(|v| {
-            let hops = run.hops(v);
-            let parent = run.parent(v);
-            let cell_hops = (row.hops[v] != NONE).then_some(row.hops[v]);
-            let cell_cost = cell_hops.is_some().then(|| &row.costs[v]);
-            cell_hops != hops || row.parent(g, v) != parent || cell_cost != run.cost(v)
+            row.hops(scheme, v) != run.hops(v)
+                || row.parent(g, v) != run.parent(v)
+                || row.cost(v) != run.cost(v)
         });
         if mismatch {
-            let mut truth: TreeRow<C> = TreeRow::unreached(g.n());
-            for v in g.vertices() {
-                let Some(h) = run.hops(v) else { continue };
-                truth.hops[v] = h;
-                if let Some(c) = run.cost(v) {
-                    truth.costs[v].clone_from(c);
-                }
-                if let Some((_, e)) = run.parent(v) {
-                    truth.parent_edge[v] = e as u32;
-                }
-            }
-            corrupt.push((s, truth));
+            corrupt.push((s, TreeRow::from_search(&run, g.n())));
         }
     }
     corrupt

@@ -21,8 +21,10 @@
 //!   compile snapshots entirely outside the lock).
 //! * **Retire** (automatic): a replaced snapshot lives exactly as long
 //!   as the last `Arc` referencing it — when the final in-flight reader
-//!   refreshes, the old epoch's memory drops. The concurrency suite
-//!   pins this with `Weak` handles.
+//!   refreshes, the old epoch's memory drops. The drop happens after the
+//!   publication mutex is released, in `publish` and `refresh` alike, so
+//!   freeing a retired epoch never stalls the other side. The
+//!   concurrency suite pins this with `Weak` handles.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -140,14 +142,19 @@ impl<C: PathCost + 'static> Oracle<C> {
     /// The critical section is one `Arc` store plus the epoch bump;
     /// snapshot compilation ([`crate::SnapshotBuilder::build`]) happens
     /// before this call, outside any lock. Readers mid-query keep the
-    /// previous epoch's snapshot alive until they next refresh.
+    /// previous epoch's snapshot alive until they next refresh; if the
+    /// slot held its last reference, it is freed after the lock is
+    /// released.
     pub fn publish(&self, snapshot: OracleSnapshot<C>) -> u64 {
         let next = Arc::new(snapshot);
         let mut slot = self.shared.lock_slot();
-        *slot = next;
+        let retired = std::mem::replace(&mut *slot, next);
         // Inside the lock: a reader cloning the slot under the lock sees
         // the epoch that matches the snapshot it cloned.
-        self.shared.epoch.fetch_add(1, Ordering::Release) + 1
+        let epoch = self.shared.epoch.fetch_add(1, Ordering::Release) + 1;
+        drop(slot);
+        drop(retired);
+        epoch
     }
 
     /// The current epoch number (starts at 1, +1 per publish).
@@ -187,7 +194,7 @@ impl<C: PathCost + 'static> Oracle<C> {
 /// sets that hit the tree run the exact engine inside the reader's own
 /// warm scratch (still allocation-free). Epoch changes are absorbed at
 /// query boundaries: one `Arc` clone under the publication mutex, after
-/// which the retired snapshot is released.
+/// which the retired snapshot is released outside the lock.
 pub struct OracleReader<C> {
     shared: Arc<Shared<C>>,
     epoch: u64,
@@ -212,10 +219,15 @@ impl<C: PathCost + 'static> OracleReader<C> {
             return false;
         }
         let slot = self.shared.lock_slot();
-        self.snapshot = Arc::clone(&slot);
+        let retired = std::mem::replace(&mut self.snapshot, Arc::clone(&slot));
         // Read the epoch while holding the lock so it matches the clone
         // (publish bumps it inside its critical section).
         self.epoch = self.shared.epoch.load(Ordering::Acquire);
+        // Release the lock before the retired epoch can be freed: if this
+        // reader held its last reference, the free must not stall the
+        // publisher.
+        drop(slot);
+        drop(retired);
         true
     }
 

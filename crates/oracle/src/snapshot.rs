@@ -6,10 +6,11 @@
 //! * the graph and the scheme's per-direction exact costs (owned, so a
 //!   snapshot is self-contained and `'static`);
 //! * one **canonical fault-free tree per serving source**, stored
-//!   struct-of-arrays (`u32` parent edge / hop count plus the exact path
-//!   cost — 24 B per cell for `u128` costs; the parent vertex is the
-//!   parent edge's other endpoint, derived on read) — the restoration
-//!   lemma's "paths you already stored";
+//!   struct-of-arrays (`u32` parent edge plus the exact path cost — 20 B
+//!   per cell for `u128` costs; the parent vertex is the parent edge's
+//!   other endpoint and the hop count is `⌊cost / min⌋`
+//!   ([`ExactScheme::hops_of`]), both derived on read) — the
+//!   restoration lemma's "paths you already stored";
 //! * optionally, the Theorem 30 **fault labels** and the Theorem 26
 //!   **`S × V` preserver edge set**, the two shippable artifacts a
 //!   deployment distributes to off-box consumers.
@@ -52,7 +53,10 @@ pub enum BuildError {
         /// The graph's edge count.
         m: usize,
     },
-    /// The graph has too many vertices or edges for `u32` snapshot ids.
+    /// The graph has too many vertices or edges for `u32` snapshot ids:
+    /// `n ≥ u32::MAX` (vertex ids must stay below [`NONE`]) or
+    /// `m ≥ u32::MAX − 1` (edge ids must stay below the row markers
+    /// `ROOT` and `NONE`).
     GraphTooLarge {
         /// The graph's vertex count.
         n: usize,
@@ -118,19 +122,34 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Flat-array sentinel: "no parent" / "unreachable" / "not a serving
-/// source". Graph sizes are asserted below `u32::MAX`, so the sentinel
-/// never collides with a real vertex, edge, or hop count.
+/// Flat-array sentinel: "unreachable" / "not a serving source". Graph
+/// sizes are checked below it ([`BuildError::GraphTooLarge`]), so it
+/// never collides with a real vertex or edge id.
 pub(crate) const NONE: u32 = u32::MAX;
+
+/// Parent-edge marker of the source's own cell: reached, with no
+/// parent. Edge ids are checked below it, so [`TreeRow::parent`] reads
+/// it like any out-of-range id (`None`), and no reader needs to know
+/// which vertex is the source.
+pub(crate) const ROOT: u32 = u32::MAX - 1;
 
 /// One interned canonical tree row: the flat per-vertex arrays of a
 /// single source's selected shortest-path tree.
 ///
-/// A cell is the parent edge, the hop count and the exact cost — 24 B
-/// for `u128` costs. The parent *vertex* is not stored: it is the other
-/// endpoint of the parent edge, derived by [`TreeRow::parent`]. The
-/// footprint test below pins the layout, so a new column has to pay
-/// for itself in review.
+/// A cell is the parent edge and the exact cost — 20 B for `u128`
+/// costs. Everything else is derived, each fact in one place:
+///
+/// * the parent *vertex* is the other endpoint of the parent edge
+///   ([`TreeRow::parent`]);
+/// * reachability is `parent_edge[v] != NONE` ([`TreeRow::reached`]);
+///   the source holds [`ROOT`];
+/// * the hop count is `⌊cost / min⌋` over the scheme's minimum edge
+///   cost ([`TreeRow::hops`], [`ExactScheme::hops_of`]), exact because
+///   the scheme's costs are hop-dominant.
+///
+/// Code outside this type reads reachability and hop counts through
+/// those accessors, never from a raw column. The footprint test below
+/// pins the layout, so a new column has to pay for itself in review.
 ///
 /// Rows are stored behind [`Arc`] so snapshots derived from one another
 /// (the delta builder in [`crate::delta`]) share the storage of every
@@ -140,35 +159,79 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// "silently rebuilt".
 #[derive(Clone, Debug)]
 pub(crate) struct TreeRow<C> {
-    /// Edge id to the parent in the selected tree, [`NONE`] for the
-    /// source and unreachable vertices.
+    /// Edge id to the parent in the selected tree, [`ROOT`] for the
+    /// source, [`NONE`] for unreachable vertices.
     pub(crate) parent_edge: Vec<u32>,
-    /// Hop count from the source, [`NONE`] when unreachable.
-    pub(crate) hops: Vec<u32>,
-    /// Exact perturbed path cost; meaningful only where `hops` is not
-    /// [`NONE`] (unreachable cells hold `C::zero()`).
+    /// Exact perturbed path cost; meaningful only where the cell is
+    /// reached (unreachable cells hold `C::zero()`).
     pub(crate) costs: Vec<C>,
 }
 
-impl<C: PathCost> TreeRow<C> {
+impl<C: PathCost + 'static> TreeRow<C> {
     /// A row with every vertex unreached.
     pub(crate) fn unreached(n: usize) -> Self {
         let mut costs = Vec::with_capacity(n);
         costs.resize_with(n, C::zero);
-        TreeRow { parent_edge: vec![NONE; n], hops: vec![NONE; n], costs }
+        TreeRow { parent_edge: vec![NONE; n], costs }
+    }
+
+    /// The row of the search `scratch` last ran over a graph with `n`
+    /// vertices: each reached cell's parent edge ([`ROOT`] for the
+    /// source) and cost.
+    pub(crate) fn from_search(scratch: &SearchScratch<C>, n: usize) -> Self {
+        let mut row = Self::unreached(n);
+        for v in 0..n {
+            let Some(c) = scratch.cost(v) else { continue };
+            row.costs[v].clone_from(c);
+            row.parent_edge[v] = scratch.parent(v).map_or(ROOT, |(_, e)| e as u32);
+        }
+        row
     }
 
     /// Resets one cell to the unreached state, keeping cost storage.
     pub(crate) fn clear_cell(&mut self, v: Vertex) {
         self.parent_edge[v] = NONE;
-        self.hops[v] = NONE;
         self.costs[v].set_zero();
+    }
+
+    /// `true` iff `v` is in range and its cell is reached.
+    #[inline]
+    pub(crate) fn reached(&self, v: Vertex) -> bool {
+        self.parent_edge.get(v).is_some_and(|&e| e != NONE)
+    }
+
+    /// `v`'s hop count derived from its cost
+    /// ([`ExactScheme::hops_of`]), or `None` if unreached.
+    #[inline]
+    pub(crate) fn hops(&self, scheme: &ExactScheme<C>, v: Vertex) -> Option<u32> {
+        self.reached(v).then(|| scheme.hops_of(&self.costs[v]))
+    }
+
+    /// `v`'s exact path cost, or `None` if unreached.
+    #[inline]
+    pub(crate) fn cost(&self, v: Vertex) -> Option<&C> {
+        self.reached(v).then(|| &self.costs[v])
+    }
+
+    /// The first reached non-source cell, the victim of the
+    /// fault-injection seams.
+    pub(crate) fn injection_victim(&self, s: Vertex) -> Option<Vertex> {
+        (0..self.parent_edge.len()).find(|&v| v != s && self.reached(v))
+    }
+
+    /// Shifts `v`'s cost up by one minimum edge cost, so its derived hop
+    /// count reads exactly one higher (fault-injection seam; `v` is an
+    /// [`TreeRow::injection_victim`], so the graph has an edge).
+    pub(crate) fn bump_hops(&mut self, scheme: &ExactScheme<C>, v: Vertex) {
+        let min = scheme.min_cost().expect("a reached non-source cell implies an edge");
+        self.costs[v] = self.costs[v].plus(min);
     }
 
     /// `v`'s parent as `(vertex, edge id)`: the endpoint of
     /// `parent_edge[v]` that is not `v`. `None` when `v` is out of range
-    /// or its edge is [`NONE`], out of range, or not incident to `v` —
-    /// so even a corrupt cell never yields an out-of-range vertex.
+    /// or its edge is out of range ([`ROOT`] and [`NONE`] included) or
+    /// not incident to `v` — so even a corrupt cell never yields an
+    /// out-of-range vertex.
     pub(crate) fn parent(&self, g: &Graph, v: Vertex) -> Option<(Vertex, EdgeId)> {
         let e = *self.parent_edge.get(v)? as EdgeId;
         if e >= g.m() {
@@ -185,9 +248,7 @@ impl<C: PathCost> TreeRow<C> {
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.parent_edge.capacity() * size_of::<u32>()
-            + self.hops.capacity() * size_of::<u32>()
-            + self.costs.capacity() * size_of::<C>()
+        self.parent_edge.capacity() * size_of::<u32>() + self.costs.capacity() * size_of::<C>()
     }
 }
 
@@ -355,7 +416,7 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
     /// # Panics
     ///
     /// Panics if a serving source or base fault edge is out of range or
-    /// the graph has `u32::MAX` or more vertices/edges. Control planes
+    /// the graph is too large ([`BuildError::GraphTooLarge`]). Control planes
     /// fed untrusted configuration should use
     /// [`SnapshotBuilder::try_build`] instead.
     pub fn build(self) -> OracleSnapshot<C> {
@@ -382,7 +443,7 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
         let scheme = self.scheme.clone();
         let g = scheme.graph();
         let n = g.n();
-        if n >= NONE as usize || g.m() >= NONE as usize {
+        if n >= NONE as usize || g.m() >= ROOT as usize {
             return Err(BuildError::GraphTooLarge { n, m: g.m() });
         }
         if let Some(edge) = self.base_faults.iter().find(|&e| e >= g.m()) {
@@ -406,18 +467,7 @@ impl<'a, C: PathCost + 'static> SnapshotBuilder<'a, C> {
         let mut scratch = SearchScratch::<C>::with_capacity(n);
         for &s in &sources {
             scheme.spt_into(s, &self.base_faults, &mut scratch);
-            let mut row: TreeRow<C> = TreeRow::unreached(n);
-            for v in g.vertices() {
-                let Some(h) = scratch.hops(v) else { continue };
-                row.hops[v] = h;
-                if let Some(c) = scratch.cost(v) {
-                    row.costs[v].clone_from(c);
-                }
-                if let Some((_, e)) = scratch.parent(v) {
-                    row.parent_edge[v] = e as u32;
-                }
-            }
-            rows.push(Arc::new(row));
+            rows.push(Arc::new(TreeRow::from_search(&scratch, n)));
         }
 
         let labels = self.label_faults.map(|f| build_labeling(&scheme, f));
@@ -764,22 +814,17 @@ impl<C: PathCost + 'static> OracleSnapshot<C> {
     }
 
     /// Fault-injection seam: deliberately corrupts one reachable
-    /// non-source cell of `s`'s tree row (hop count bumped by 1), so a
+    /// non-source cell of `s`'s tree row (cost shifted up by one minimum
+    /// edge cost, so its derived hop count reads one higher), so a
     /// downstream cross-check against the heap engine MUST reject this
     /// snapshot. Returns `false` if `s` has no row or no corruptible
     /// cell. Only the churn pipeline's injection probe calls this —
     /// it is how the test harness proves the cross-check gate works.
     pub(crate) fn corrupt_row_for_injection(&mut self, s: Vertex) -> bool {
         let Some(row) = self.row_of(s) else { return false };
-        let n = self.scheme.graph().n();
-        let r = Arc::make_mut(&mut self.rows[row]);
-        for v in 0..n {
-            if v != s && r.hops[v] != NONE {
-                r.hops[v] += 1;
-                return true;
-            }
-        }
-        false
+        let Some(v) = self.rows[row].injection_victim(s) else { return false };
+        Arc::make_mut(&mut self.rows[row]).bump_hops(&self.scheme, v);
+        true
     }
 }
 
@@ -820,9 +865,7 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     /// `true` iff `t` is reachable from the source in `G \ F`.
     pub fn reached(&self, t: Vertex) -> bool {
         match &self.inner {
-            ViewInner::Baseline { snap, row, .. } => {
-                t < snap.graph().n() && snap.rows[*row].hops[t] != NONE
-            }
+            ViewInner::Baseline { snap, row, .. } => snap.rows[*row].reached(t),
             ViewInner::Searched { scratch } => scratch.reached(t),
         }
     }
@@ -832,10 +875,7 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     /// `None` if unreachable.
     pub fn dist(&self, t: Vertex) -> Option<u32> {
         match &self.inner {
-            ViewInner::Baseline { snap, row, .. } => {
-                let h = *snap.rows[*row].hops.get(t)?;
-                (h != NONE).then_some(h)
-            }
+            ViewInner::Baseline { snap, row, .. } => snap.rows[*row].hops(&snap.scheme, t),
             ViewInner::Searched { scratch } => scratch.hops(t),
         }
     }
@@ -844,10 +884,7 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     /// unreachable.
     pub fn cost(&self, t: Vertex) -> Option<&C> {
         match &self.inner {
-            ViewInner::Baseline { snap, row, .. } => {
-                let r = &snap.rows[*row];
-                (*r.hops.get(t)? != NONE).then(|| &r.costs[t])
-            }
+            ViewInner::Baseline { snap, row, .. } => snap.rows[*row].cost(t),
             ViewInner::Searched { scratch } => scratch.cost(t),
         }
     }
@@ -868,11 +905,11 @@ impl<C: PathCost + 'static> TreeView<'_, C> {
     /// accessors on the hot path and this for result materialization.
     ///
     /// On the fast path the walk follows the row's parent edges for at
-    /// most `hops[t]` steps (and never more than `n - 1`). A corrupt row
+    /// most `dist(t)` steps (and never more than `n - 1`). A corrupt row
     /// the scrubber has not yet quarantined — a missing parent, a parent
-    /// edge not incident to its vertex, a cycle, a hop count that
-    /// disagrees with the chain — yields `None`, never a panic or an
-    /// endless loop.
+    /// edge not incident to its vertex, a cycle, a cost whose derived hop
+    /// count disagrees with the chain — yields `None`, never a panic or
+    /// an endless loop.
     pub fn path_to(&self, t: Vertex) -> Option<Path> {
         match &self.inner {
             ViewInner::Baseline { snap, row, source } => {
@@ -933,11 +970,11 @@ mod tests {
     }
 
     #[test]
-    fn u128_row_holds_exactly_edge_hops_and_cost() {
+    fn u128_row_holds_exactly_edge_and_cost() {
         let snap = grid_snapshot();
         let n = snap.graph().n();
         for row in 0..snap.sources().len() {
-            assert_eq!(snap.row_arc(row).heap_bytes(), n * (2 * 4 + 16));
+            assert_eq!(snap.row_arc(row).heap_bytes(), n * (4 + 16));
         }
     }
 
@@ -969,7 +1006,7 @@ mod tests {
         let view = snap.baseline(0).unwrap();
         assert_eq!(view.parent(t), None);
         assert_eq!(view.path_to(t), None);
-        assert!(view.reached(t), "the hop cell still says reached");
+        assert!(view.reached(t), "a stray parent edge still reads as reached");
         assert_eq!(view.parent(t + 1), None, "out-of-range vertex");
         assert_paths_sound(&view);
     }

@@ -8,9 +8,10 @@
 //! Snapshot rows come from the layered kernel behind
 //! `ExactScheme::spt_into`; one property pins every row of a build with
 //! base faults against `dijkstra_into`, the heap engine the churn
-//! cross-check and the scrubber audit with. Two forced-tie tests run
-//! those audits on a uniform-cost scheme, where every equal-length route
-//! ties, and pin what they publish to the reference.
+//! cross-check and the scrubber audit with. Three forced-tie tests run
+//! those audits and the serving paths on a uniform-cost scheme, where
+//! every equal-length route ties, and pin what they publish and answer
+//! to the reference.
 
 use proptest::prelude::*;
 use rsp_core::{RandomGridAtw, Rpts};
@@ -181,6 +182,48 @@ fn assert_rows_equal_reference(snap: &OracleSnapshot<u128>, scheme: &Scheme, r: 
             assert_eq!(row.cost(v), spec.cost[v].as_ref(), "cost s{s} v{v}");
         }
     }
+}
+
+/// `try_query` on a tie-everywhere scheme answers every `(s, {e})` cell
+/// for cell like the reference: the fast path for `F = ∅` and every
+/// off-tree fault, the engine path for every on-tree fault. Every cost
+/// is a multiple of one unit, so this also pins the hop counts the fast
+/// path derives from costs under ties.
+#[test]
+fn forced_ties_serving_equals_reference() {
+    let scheme = uniform_grid_scheme(4, 5);
+    let g = scheme.graph().clone();
+    let r = RefGraph::from_graph(&g);
+    let snap = OracleSnapshot::builder(&scheme).build();
+    let mut scratch = SearchScratch::with_capacity(g.n());
+    let (mut fast, mut engine) = (0, 0);
+    for s in g.vertices() {
+        let base = reference_tree(&scheme, &r, s, &FaultSet::empty());
+        let fault_sets = std::iter::once(FaultSet::empty()).chain((0..g.m()).map(FaultSet::single));
+        for faults in fault_sets {
+            let on_tree = faults.iter().any(|e| {
+                let (a, b) = g.endpoints(e);
+                base.parent[a] == Some((b, e)) || base.parent[b] == Some((a, e))
+            });
+            let view = snap.try_query(s, &faults, &mut scratch).unwrap();
+            assert_eq!(view.from_baseline(), !on_tree, "s{s} F={faults:?}");
+            if on_tree {
+                engine += 1;
+            } else {
+                fast += 1;
+            }
+            let spec = reference_tree(&scheme, &r, s, &faults);
+            for v in g.vertices() {
+                let hops = spec.reached(v).then_some(spec.hops[v]);
+                assert_eq!(view.dist(v), hops, "dist s{s} v{v} F={faults:?}");
+                assert_eq!(view.parent(v), spec.parent[v], "parent s{s} v{v} F={faults:?}");
+                assert_eq!(view.cost(v), spec.cost[v].as_ref(), "cost s{s} v{v} F={faults:?}");
+            }
+        }
+    }
+    // Each source's tree has n − 1 of the m edges.
+    assert_eq!(engine, g.n() * (g.n() - 1));
+    assert_eq!(fast, g.n() * (g.m() - g.n() + 2));
 }
 
 /// Churn commits on a tie-everywhere scheme publish rows equal to the
